@@ -97,13 +97,14 @@ struct ScaleConfig
      */
     PqConfig pq{};
     /**
-     * Cluster-major batched rerank (mirrors CbirService::Config::
-     * batchedRerank): with pq.enabled, each distinct probed cluster's
-     * code block streams from near-storage once per query batch —
-     * scored against every probing query in place — instead of once
-     * per probing query; the per-query ADC tables travel to the scan
-     * engine instead. Only the traffic accounting changes (results
-     * are bitwise identical in the functional layer). Ignored
+     * Cluster-major near-storage rerank dataflow, a timing-model-only
+     * choice with no functional mirror: with pq.enabled, each
+     * distinct probed cluster's code block streams from near-storage
+     * once per query batch — scored against every probing query in
+     * place by the scan engine — instead of once per probing query;
+     * the per-query ADC tables travel to the scan engine instead.
+     * Only the traffic accounting changes: the arithmetic and the
+     * answers are those of the host's query-major scan. Ignored
      * without pq.enabled.
      */
     bool batchedRerank = false;

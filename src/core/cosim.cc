@@ -36,7 +36,6 @@ scaleWithServiceModes(cbir::ScaleConfig scale,
                       const CbirService::Config &svc)
 {
     scale.pq = svc.pq;
-    scale.batchedRerank = svc.batchedRerank;
     scale.centroidBytesPerDim =
         cbir::centroidBytesPerDim(svc.shortlistPrecision);
     return scale;
@@ -77,7 +76,6 @@ CbirService::query(const cbir::Matrix &queries) const
     rc.parallel = cfg.parallel;
     rc.usePq = cfg.pq.enabled;
     rc.pqRefine = cfg.pq.refine;
-    rc.batchedScan = cfg.batchedRerank;
     return cbir::rerank(queries, data.vectors(), ivf, lists, rc);
 }
 

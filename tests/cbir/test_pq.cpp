@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "cbir/index.hh"
@@ -448,6 +449,86 @@ struct PqRerankFixture
     }
 };
 
+/**
+ * Candidate budget smaller than the first probed cluster: the scan
+ * must truncate the very first block rather than wrap the unsigned
+ * remaining-budget subtraction, so every result is one of the first
+ * maxCandidates members of that cluster.
+ */
+void
+expectBudgetTruncatesFirstCluster(std::uint32_t bits)
+{
+    PqRerankFixture f(bits);
+    for (std::uint32_t refine : {0u, 32u}) {
+        RerankConfig rc;
+        rc.k = 5;
+        rc.maxCandidates = 3; // clusters hold ~50 vectors each
+        rc.usePq = true;
+        rc.pqRefine = refine;
+        auto got = rerank(f.queries, f.ds.vectors(), f.idx, f.lists,
+                          rc);
+        ASSERT_EQ(got.size(), f.lists.size());
+        for (std::size_t q = 0; q < got.size(); ++q) {
+            const auto &first = f.idx.cluster(f.lists[q].front());
+            ASSERT_GT(first.size(), rc.maxCandidates);
+            EXPECT_LE(got[q].size(), rc.k);
+            EXPECT_EQ(got[q].size(), rc.maxCandidates);
+            for (const Neighbor &nb : got[q]) {
+                EXPECT_NE(std::find(first.begin(),
+                                    first.begin() + rc.maxCandidates,
+                                    nb.id),
+                          first.begin() + rc.maxCandidates)
+                    << "query " << q << " id " << nb.id
+                    << " refine=" << refine;
+            }
+        }
+    }
+}
+
+/**
+ * maxCandidates = 0 is unlimited: with K past the shortlist's size,
+ * every member of every probed cluster comes back scored, and an
+ * exact refine over the unlimited set equals the same refine under
+ * a budget that just covers the shortlist.
+ */
+void
+expectUnlimitedBudgetScoresWholeShortlist(std::uint32_t bits)
+{
+    PqRerankFixture f(bits);
+    RerankConfig rc;
+    rc.k = f.ds.size();
+    rc.maxCandidates = 0;
+    rc.usePq = true;
+    rc.pqRefine = 0;
+    auto all = rerank(f.queries, f.ds.vectors(), f.idx, f.lists, rc);
+    ASSERT_EQ(all.size(), f.lists.size());
+    std::size_t widest = 0;
+    for (std::size_t q = 0; q < all.size(); ++q) {
+        std::vector<std::uint32_t> want;
+        for (std::uint32_t c : f.lists[q]) {
+            const auto &members = f.idx.cluster(c);
+            want.insert(want.end(), members.begin(), members.end());
+        }
+        std::vector<std::uint32_t> got;
+        for (const Neighbor &nb : all[q])
+            got.push_back(nb.id);
+        std::sort(want.begin(), want.end());
+        std::sort(got.begin(), got.end());
+        EXPECT_EQ(got, want) << "query " << q;
+        widest = std::max(widest, want.size());
+    }
+
+    rc.k = 10;
+    rc.pqRefine = 24;
+    auto unlimited =
+        rerank(f.queries, f.ds.vectors(), f.idx, f.lists, rc);
+    rc.maxCandidates = widest;
+    auto covering =
+        rerank(f.queries, f.ds.vectors(), f.idx, f.lists, rc);
+    for (std::size_t q = 0; q < unlimited.size(); ++q)
+        EXPECT_EQ(unlimited[q], covering[q]) << "query " << q;
+}
+
 } // namespace
 
 TEST(RerankPq, PanicsWithoutCodes)
@@ -555,6 +636,16 @@ TEST(RerankPq, ThreadCountDoesNotChangeResults)
         EXPECT_EQ(serial[q], threaded[q]) << "query " << q;
 }
 
+TEST(RerankPq, BudgetSmallerThanFirstClusterTruncatesExactly)
+{
+    expectBudgetTruncatesFirstCluster(8);
+}
+
+TEST(RerankPq, UnlimitedBudgetScoresWholeShortlist)
+{
+    expectUnlimitedBudgetScoresWholeShortlist(8);
+}
+
 /**
  * The 4-bit mirror of the suite above: the shuffle-ADC rerank path
  * keeps every reproducibility contract of the 8-bit gather path.
@@ -653,4 +744,14 @@ TEST(RerankPq4, ThreadCountDoesNotChangeResults)
     ASSERT_EQ(serial.size(), threaded.size());
     for (std::size_t q = 0; q < serial.size(); ++q)
         EXPECT_EQ(serial[q], threaded[q]) << "query " << q;
+}
+
+TEST(RerankPq4, BudgetSmallerThanFirstClusterTruncatesExactly)
+{
+    expectBudgetTruncatesFirstCluster(4);
+}
+
+TEST(RerankPq4, UnlimitedBudgetScoresWholeShortlist)
+{
+    expectUnlimitedBudgetScoresWholeShortlist(4);
 }

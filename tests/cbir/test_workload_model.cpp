@@ -326,8 +326,8 @@ TEST(WorkloadModel, BatchedRerankIgnoredWithoutPq)
     s.batchedRerank = true;
     CbirWorkloadModel batched(s);
     CbirWorkloadModel exact(paperScale());
-    // The exact pipeline has no code blocks to amortize: the flag is
-    // inert, matching RerankConfig::batchedScan's contract.
+    // The exact pipeline has no code blocks to amortize: the
+    // dataflow choice is inert without PQ codes.
     EXPECT_EQ(batched.rerankBatch(1).bytesIn,
               exact.rerankBatch(1).bytesIn);
     EXPECT_EQ(batched.rerankBatch(1).ops, exact.rerankBatch(1).ops);

@@ -116,30 +116,25 @@ TEST(CoSim, ScaleTracksShortlistPrecision)
     EXPECT_EQ(fp32_sim.scale().centroidBytesPerDim, 4u);
 }
 
-TEST(CoSim, ScaleTracksBatchedRerank)
+TEST(CoSim, ModelOnlyBatchedRerankPassesThrough)
 {
-    // The timing model's batched-rerank accounting is derived from
-    // the functional knob — a stale scale is overwritten, so the byte
-    // model can never charge per-query streams while the service
-    // scans cluster-major (or vice versa).
+    // ScaleConfig::batchedRerank is a near-storage dataflow of the
+    // timing model with no functional mirror: CoSimulation keeps the
+    // caller's choice, and the answers are the service's own
+    // query-major ones either way.
     CbirService::Config cfg = smallService();
     cfg.pq.enabled = true;
     cfg.pq.m = 8;
     cfg.pq.trainIterations = 4;
-    cfg.batchedRerank = true;
     cbir::ScaleConfig sc = smallScale();
-    sc.batchedRerank = false; // deliberately stale
+    sc.batchedRerank = true;
     CoSimulation cosim(cfg, sc, Mapping::Reach);
     EXPECT_TRUE(cosim.scale().batchedRerank);
 
-    // And the functional answers stay bitwise those of a query-major
-    // service over the same deterministic dataset/index build.
     cbir::Matrix queries =
         cosim.service().dataset().makeQueries(8, 0.05, 5);
     CoSimBatch batch = cosim.processBatch(queries);
-    CbirService::Config qm = cfg;
-    qm.batchedRerank = false;
-    CbirService ref(qm);
+    CbirService ref(cfg);
     auto want = ref.query(queries);
     ASSERT_EQ(batch.results.size(), want.size());
     for (std::size_t q = 0; q < want.size(); ++q)

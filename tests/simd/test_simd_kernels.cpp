@@ -141,8 +141,6 @@ TEST_P(SimdBackend, ZeroAndOneLengthEdgeCases)
     float out = 42.0f;
     k().dotBatch(a, b, 0, 1, &out); // zero rows: out untouched
     EXPECT_FLOAT_EQ(out, 42.0f);
-    k().l2sqBatch(a, b, 1, 0, &out); // zero dim: distance 0
-    EXPECT_FLOAT_EQ(out, 0.0f);
 }
 
 TEST_P(SimdBackend, CrossKernelInvariantsBitwise)
@@ -151,15 +149,12 @@ TEST_P(SimdBackend, CrossKernelInvariantsBitwise)
         auto q = randomVec(d, 100 + d);
         constexpr std::size_t n = 7; // exercises block + remainder
         auto rows = randomVec(n * d, 200 + d);
-        std::vector<float> dots(n), dists(n);
+        std::vector<float> dots(n);
         k().dotBatch(q.data(), rows.data(), n, d, dots.data());
-        k().l2sqBatch(q.data(), rows.data(), n, d, dists.data());
         for (std::size_t r = 0; r < n; ++r) {
             const float *row = rows.data() + r * d;
             EXPECT_EQ(dots[r], k().dot(q.data(), row, d))
                 << "dotBatch row " << r << " d=" << d;
-            EXPECT_EQ(dists[r], k().l2sq(q.data(), row, d))
-                << "l2sqBatch row " << r << " d=" << d;
         }
         EXPECT_EQ(k().normSq(q.data(), d), k().dot(q.data(), q.data(), d))
             << "normSq d=" << d;
@@ -396,117 +391,6 @@ TEST(SimdAdc, Batch4BackendsAgreeBitwise)
             for (std::size_t r = 0; r < n; ++r)
                 EXPECT_EQ(a[r], b[r])
                     << "row " << r << " m=" << m << " n=" << n;
-        }
-    }
-}
-
-/**
- * Multi-query 8-bit ADC: each query's prefix of one shared code
- * stream is bitwise identical to a single-query adcBatch call
- * (simd.hh), for prefix lengths straddling the kAdcMultiChunk
- * boundary and for dead (ns = 0) queries, whose outputs — and every
- * slot past a live query's ns — must stay untouched.
- */
-TEST_P(SimdBackend, AdcBatchMultiMatchesSingleQueryBitwise)
-{
-    const std::size_t kSubspaces[] = {1, 8, 33};
-    const std::size_t n = simd::kAdcMultiChunk * 2 + 77;
-    const std::size_t kNs[] = {0,
-                               1,
-                               simd::kAdcMultiChunk - 1,
-                               simd::kAdcMultiChunk,
-                               simd::kAdcMultiChunk + 1,
-                               n};
-    constexpr std::size_t nq = std::size(kNs);
-    for (std::size_t m : kSubspaces) {
-        sim::Rng rng(7000 + m);
-        std::vector<std::uint8_t> codes(n * m);
-        for (auto &c : codes)
-            c = static_cast<std::uint8_t>(rng.nextUInt(256));
-        std::vector<std::vector<float>> luts, outs;
-        std::vector<const float *> lut_ptrs;
-        std::vector<float *> out_ptrs;
-        for (std::size_t g = 0; g < nq; ++g) {
-            luts.push_back(
-                randomVec(m * simd::kAdcLutStride, 7100 + 31 * m + g));
-            outs.emplace_back(n, -1.0f);
-            lut_ptrs.push_back(luts.back().data());
-            out_ptrs.push_back(outs.back().data());
-        }
-        k().adcBatchMulti(lut_ptrs.data(), simd::kAdcLutStride, kNs,
-                          nq, codes.data(), m, out_ptrs.data());
-        std::vector<float> want(n);
-        for (std::size_t g = 0; g < nq; ++g) {
-            k().adcBatch(lut_ptrs[g], simd::kAdcLutStride,
-                         codes.data(), kNs[g], m, want.data());
-            for (std::size_t r = 0; r < kNs[g]; ++r) {
-                EXPECT_EQ(outs[g][r], want[r])
-                    << "query " << g << " row " << r << " m=" << m;
-            }
-            for (std::size_t r = kNs[g]; r < n; ++r) {
-                ASSERT_EQ(outs[g][r], -1.0f)
-                    << "query " << g << " wrote past ns at " << r;
-            }
-        }
-        // nq = 0 is a no-op.
-        std::fill(outs[0].begin(), outs[0].end(), -1.0f);
-        k().adcBatchMulti(lut_ptrs.data(), simd::kAdcLutStride, kNs,
-                          0, codes.data(), m, out_ptrs.data());
-        EXPECT_EQ(outs[0][0], -1.0f);
-    }
-}
-
-/**
- * Multi-query 4-bit FastScan: bitwise against per-query adcBatch4 at
- * every ns shape (dead queries, partial first block, block-boundary
- * and chunk-boundary prefixes, full stream). m = 33 exercises the
- * odd-pair tail of the fused sweep; m = 257 (129 packed rows, sums
- * still exact at 257 * 255 = 65535) forces the per-query fallback
- * the avx2 backend keeps for tables past its nibble arena.
- */
-TEST_P(SimdBackend, AdcBatch4MultiMatchesSingleQueryBitwise)
-{
-    const std::size_t kSubspaces[] = {2, 33, 96, 257};
-    const std::size_t n = simd::kAdcMultiChunk + 77;
-    const std::size_t kNs[] = {0,    1,
-                               31,   32,
-                               33,   simd::kAdcMultiChunk,
-                               n};
-    constexpr std::size_t nq = std::size(kNs);
-    for (std::size_t m : kSubspaces) {
-        Adc4Fixture fx(n, m, 7500 + m);
-        std::vector<std::vector<std::uint8_t>> luts;
-        std::vector<const std::uint8_t *> lut_ptrs;
-        std::vector<std::vector<float>> outs;
-        std::vector<float *> out_ptrs;
-        std::vector<float> scales, biases;
-        sim::Rng rng(7600 + m);
-        for (std::size_t g = 0; g < nq; ++g) {
-            std::vector<std::uint8_t> lut(m * simd::kAdc4LutStride);
-            for (auto &x : lut)
-                x = static_cast<std::uint8_t>(rng.nextUInt(256));
-            luts.push_back(std::move(lut));
-            lut_ptrs.push_back(luts.back().data());
-            outs.emplace_back(n, -1.0f);
-            out_ptrs.push_back(outs.back().data());
-            scales.push_back(0.015625f * static_cast<float>(g + 1));
-            biases.push_back(0.75f * static_cast<float>(g) - 1.0f);
-        }
-        k().adcBatch4Multi(lut_ptrs.data(), kNs, nq, fx.blocks.data(),
-                           m, scales.data(), biases.data(),
-                           out_ptrs.data());
-        std::vector<float> want(n);
-        for (std::size_t g = 0; g < nq; ++g) {
-            k().adcBatch4(lut_ptrs[g], fx.blocks.data(), kNs[g], m,
-                          scales[g], biases[g], want.data());
-            for (std::size_t r = 0; r < kNs[g]; ++r) {
-                EXPECT_EQ(outs[g][r], want[r])
-                    << "query " << g << " row " << r << " m=" << m;
-            }
-            for (std::size_t r = kNs[g]; r < n; ++r) {
-                ASSERT_EQ(outs[g][r], -1.0f)
-                    << "query " << g << " wrote past ns at " << r;
-            }
         }
     }
 }
@@ -778,10 +662,6 @@ TEST_P(SimdAgreement, AllBackendsMatchScalarWithinTolerance)
             std::vector<float> got(n), want(n);
             ref.dotBatch(q.data(), rows.data(), n, d, want.data());
             k.dotBatch(q.data(), rows.data(), n, d, got.data());
-            for (std::size_t r = 0; r < n; ++r)
-                EXPECT_NEAR(got[r], want[r], relTol(want[r]));
-            ref.l2sqBatch(q.data(), rows.data(), n, d, want.data());
-            k.l2sqBatch(q.data(), rows.data(), n, d, got.data());
             for (std::size_t r = 0; r < n; ++r)
                 EXPECT_NEAR(got[r], want[r], relTol(want[r]));
         }
