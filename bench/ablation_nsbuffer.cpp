@@ -24,7 +24,7 @@ runNsFeatureExtraction(bool reuse, std::uint32_t batches)
     core::SystemConfig cfg;
     core::ReachSystem sys(cfg);
     cbir::CbirWorkloadModel model{cbir::ScaleConfig{}};
-    const auto &scale = model.scale();
+    core::StagePlacement where{acc::Level::NearStor, sys.numNs()};
 
     std::uint32_t done = 0;
     std::uint32_t task_seq = 0;
@@ -32,20 +32,11 @@ runNsFeatureExtraction(bool reuse, std::uint32_t batches)
         gam::JobDesc job;
         job.label = "fe-ns";
         job.onComplete = [&done](sim::Tick) { ++done; };
-        for (std::uint32_t i = 0; i < scale.batchSize; ++i) {
-            gam::TaskDesc t;
-            t.label = "fe" + std::to_string(i);
-            t.kernelTemplate = "CNN-ZCU9";
-            t.level = acc::Level::NearStor;
-            t.work = model.featureExtractionSingle();
-            if (!reuse) {
-                t.work.paramKey =
-                    "vgg16#" + std::to_string(task_seq++);
-            }
-            t.pinnedAcc = sys.nsGamIds()[i % sys.numNs()];
-            t.inbound.push_back({gam::InboundTransfer::fromHost,
-                                 model.queryImageBytes()});
-            job.tasks.push_back(std::move(t));
+        core::addStageTasks(job, Stage::FeatureExtraction, where, {},
+                            sys, model);
+        if (!reuse) {
+            for (gam::TaskDesc &t : job.tasks)
+                t.work.paramKey = "vgg16#" + std::to_string(task_seq++);
         }
         sys.gam().submitJob(std::move(job));
     }

@@ -2,7 +2,6 @@
 
 #include <cstdlib>
 #include <cstring>
-#include <memory>
 
 namespace reach::bench
 {
@@ -49,132 +48,6 @@ parseSweepOptions(int argc, char **argv)
     return opt;
 }
 
-namespace
-{
-
-/** One batch of @p stage as a GAM job at @p level. */
-gam::JobDesc
-stageJob(Stage stage, acc::Level level, std::uint32_t instances,
-         core::ReachSystem &sys, const cbir::CbirWorkloadModel &model,
-         std::function<void(sim::Tick)> on_done)
-{
-    gam::JobDesc job;
-    job.label = "stage-batch";
-    job.onComplete = std::move(on_done);
-
-    const auto &scale = model.scale();
-    bool onchip = level == acc::Level::OnChip;
-
-    auto gam_ids = [&]() -> std::vector<std::uint32_t> {
-        switch (level) {
-          case acc::Level::OnChip:
-            return {sys.onChipGamId()};
-          case acc::Level::NearMem:
-            return sys.aimGamIds();
-          default:
-            return sys.nsGamIds();
-        }
-    }();
-
-    auto kernel_for = [&](const char *family) {
-        return std::string(family) + (onchip ? "-VU9P" : "-ZCU9");
-    };
-
-    switch (stage) {
-      case Stage::FeatureExtraction:
-        if (onchip) {
-            gam::TaskDesc t;
-            t.label = "fe";
-            t.kernelTemplate = kernel_for("CNN");
-            t.level = level;
-            t.work = model.featureExtractionBatch();
-            t.pinnedAcc = gam_ids[0];
-            t.inbound.push_back({gam::InboundTransfer::fromHost,
-                                 model.queryImageBytes() *
-                                     scale.batchSize});
-            job.tasks.push_back(std::move(t));
-        } else {
-            for (std::uint32_t i = 0; i < scale.batchSize; ++i) {
-                gam::TaskDesc t;
-                t.label = "fe" + std::to_string(i);
-                t.kernelTemplate = kernel_for("CNN");
-                t.level = level;
-                t.work = model.featureExtractionSingle();
-                t.pinnedAcc = gam_ids[i % instances];
-                t.inbound.push_back({gam::InboundTransfer::fromHost,
-                                     model.queryImageBytes()});
-                job.tasks.push_back(std::move(t));
-            }
-        }
-        break;
-
-      case Stage::Shortlist: {
-        std::uint32_t n = onchip ? 1 : instances;
-        for (std::uint32_t i = 0; i < n; ++i) {
-            gam::TaskDesc t;
-            t.label = "sl" + std::to_string(i);
-            t.kernelTemplate = kernel_for("GeMM");
-            t.level = level;
-            t.work = model.shortlistBatch(n);
-            t.pinnedAcc = gam_ids[i];
-            t.inbound.push_back(
-                {gam::InboundTransfer::fromHost,
-                 model.featureVectorBytes() * scale.batchSize});
-            job.tasks.push_back(std::move(t));
-        }
-        break;
-      }
-
-      case Stage::Rerank: {
-        std::uint32_t n = onchip ? 1 : instances;
-        for (std::uint32_t i = 0; i < n; ++i) {
-            gam::TaskDesc t;
-            t.label = "rr" + std::to_string(i);
-            t.kernelTemplate = kernel_for("KNN");
-            t.level = level;
-            t.work = model.rerankBatch(n);
-            t.pinnedAcc = gam_ids[i];
-            t.inbound.push_back(
-                {gam::InboundTransfer::fromHost,
-                 std::uint64_t(scale.batchSize) *
-                     scale.rerankCandidates * 4 / n});
-
-            // Data paths: rerank gathers from the SSD array.
-            if (level == acc::Level::OnChip) {
-                acc::Path p;
-                for (std::uint32_t s = 0; s < sys.config().numSsds;
-                     ++s) {
-                    p.from(&sys.ssdAt(s), &sys.ssdHostLink(s));
-                }
-                p.via(sys.hostIoUplink())
-                    .via(sys.hostDramLink())
-                    .via(sys.cacheLink());
-                t.work.inputOverride = p;
-                t.work.inputThrottleBw = sys.config().onChipGatherBw;
-            } else if (level == acc::Level::NearMem) {
-                acc::Path p;
-                for (std::uint32_t s = 0; s < sys.config().numSsds;
-                     ++s) {
-                    p.from(&sys.ssdAt(s), &sys.ssdHostLink(s));
-                }
-                p.via(sys.hostIoUplink())
-                    .via(sys.hostDramLink())
-                    .via(sys.aimLocalLink(i));
-                t.work.inputOverride = p;
-                t.work.inputThrottleBw = sys.config().nmGatherBw;
-            } else {
-                t.work.inputThrottleBw = sys.config().nsGatherBw;
-            }
-            job.tasks.push_back(std::move(t));
-        }
-        break;
-      }
-    }
-    return job;
-}
-
-} // namespace
-
 StageResult
 runStage(Stage stage, acc::Level level, std::uint32_t instances,
          std::uint32_t batches, const cbir::ScaleConfig &scale)
@@ -182,12 +55,15 @@ runStage(Stage stage, acc::Level level, std::uint32_t instances,
     core::ReachSystem sys(
         systemForScale(sweepConfig(level, instances), scale));
     cbir::CbirWorkloadModel model(scale);
+    core::StagePlacement where{level, sys.instancesAt(level)};
 
     std::uint32_t done = 0;
     for (std::uint32_t b = 0; b < batches; ++b) {
-        sys.gam().submitJob(stageJob(
-            stage, level, instances, sys, model,
-            [&done](sim::Tick) { ++done; }));
+        gam::JobDesc job;
+        job.label = "stage-batch";
+        job.onComplete = [&done](sim::Tick) { ++done; };
+        core::addStageTasks(job, stage, where, {}, sys, model);
+        sys.gam().submitJob(std::move(job));
     }
     sys.runUntilIdle();
     if (done != batches)

@@ -25,27 +25,8 @@
 namespace reach::bench
 {
 
-/** The three online CBIR stages. */
-enum class Stage
-{
-    FeatureExtraction,
-    Shortlist,
-    Rerank,
-};
-
-inline const char *
-stageName(Stage s)
-{
-    switch (s) {
-      case Stage::FeatureExtraction:
-        return "Feature Extraction";
-      case Stage::Shortlist:
-        return "Short-list Retrieval";
-      case Stage::Rerank:
-        return "Rerank";
-    }
-    return "?";
-}
+using core::Stage;
+using core::stageName;
 
 struct StageResult
 {
@@ -100,10 +81,11 @@ scaleWithPrecision(cbir::ScaleConfig scale,
 }
 
 /**
- * Build the task list for one batch of @p stage executed entirely at
- * @p level using @p instances modules, and run @p batches of them
- * through the GAM. Mirrors CbirDeployment's per-stage construction,
- * including the shortlist-placement link sync (systemForScale).
+ * Run @p batches of @p stage in isolation through the GAM, on the
+ * sweepConfig(level, instances) machine with the shortlist-placement
+ * link sync (systemForScale). Each batch is one job built by the
+ * deployment's stage builder (core::addStageTasks) over every module
+ * at @p level, reading its input from the host.
  */
 StageResult runStage(Stage stage, acc::Level level,
                      std::uint32_t instances, std::uint32_t batches,

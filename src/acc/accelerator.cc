@@ -24,6 +24,21 @@ levelName(Level level)
     return "?";
 }
 
+std::string
+kernelTemplate(const std::string &family, Level level)
+{
+    switch (level) {
+      case Level::OnChip:
+        return family + "-VU9P";
+      case Level::Cpu:
+        return family + "-CPU";
+      case Level::NearMem:
+      case Level::NearStor:
+        break;
+    }
+    return family + "-ZCU9";
+}
+
 Accelerator::Accelerator(sim::Simulator &sim, const std::string &name,
                          Level level)
     : sim::SimObject(sim, name),

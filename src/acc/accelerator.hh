@@ -42,6 +42,13 @@ enum class Level
 
 const char *levelName(Level level);
 
+/**
+ * Kernel template id of @p family ("CNN", "GeMM", "KNN", ...) built
+ * for the device at @p level: "<family>-VU9P" on-chip, "-ZCU9" near
+ * data, "-CPU" on the host core (see kernelCatalog()).
+ */
+std::string kernelTemplate(const std::string &family, Level level);
+
 /** One coarse-grained task, sized in work units and bytes. */
 struct WorkUnit
 {

@@ -30,6 +30,9 @@ AnalyticsDeployment::AnalyticsDeployment(core::ReachSystem &system,
         sim::fatal("analytics table must be non-empty");
     if (scale.selectivity < 0 || scale.selectivity > 1)
         sim::fatal("selectivity must be in [0,1]");
+    // Near-storage scans always have a module: every system has SSDs.
+    if (map == ScanMapping::NearData && sys.numAims() == 0)
+        sim::fatal("near-data analytics needs an AIM module");
 }
 
 gam::JobDesc
@@ -49,38 +52,31 @@ AnalyticsDeployment::makeQueryJob(std::uint32_t index,
     if (map != ScanMapping::NearData) {
         // Centralized: the whole table crosses the host IO
         // interface into one device that filters and aggregates.
-        bool cpu = map == ScanMapping::HostOnly;
+        acc::Level level = map == ScanMapping::HostOnly
+                               ? acc::Level::Cpu
+                               : acc::Level::OnChip;
         gam::TaskDesc scan;
         scan.label = "scan";
-        scan.kernelTemplate = cpu ? "KNN-CPU" : "KNN-VU9P";
-        scan.level = cpu ? acc::Level::Cpu : acc::Level::OnChip;
+        scan.kernelTemplate = acc::kernelTemplate("KNN", level);
+        scan.level = level;
         scan.work.ops = static_cast<double>(scale.tableBytes) / 8 *
                         scale.columnsTouched / 4;
         scan.work.bytesIn = scale.tableBytes;
         scan.work.bytesOut = filtered;
-        {
-            acc::Path p;
-            for (std::uint32_t s = 0; s < sys.config().numSsds; ++s)
-                p.from(&sys.ssdAt(s), &sys.ssdHostLink(s));
-            p.via(sys.hostIoUplink()).via(sys.hostDramLink());
-            p.via(sys.cacheLink());
-            scan.work.inputOverride = p;
-            // Sequential streaming: no random-gather throttle.
-        }
-        scan.pinnedAcc =
-            cpu ? sys.hostCoreGamId() : sys.onChipGamId();
+        // Sequential streaming: no random-gather throttle.
+        scan.work.inputOverride = sys.ssdGatherPath(level, 0);
+        scan.pinnedAcc = sys.gamIdAt(level, 0);
         job.tasks.push_back(std::move(scan));
 
         gam::TaskDesc agg;
         agg.label = "aggregate";
-        agg.kernelTemplate = cpu ? "GeMM-CPU" : "GeMM-VU9P";
-        agg.level = cpu ? acc::Level::Cpu : acc::Level::OnChip;
+        agg.kernelTemplate = acc::kernelTemplate("GeMM", level);
+        agg.level = level;
         agg.work.ops = static_cast<double>(filtered) / 8;
         agg.work.bytesIn = filtered;
         agg.work.bytesOut = merge_bytes;
         agg.deps = {0};
-        agg.pinnedAcc =
-            cpu ? sys.hostCoreGamId() : sys.onChipGamId();
+        agg.pinnedAcc = sys.gamIdAt(level, 0);
         job.tasks.push_back(std::move(agg));
         return job;
     }
@@ -88,18 +84,19 @@ AnalyticsDeployment::makeQueryJob(std::uint32_t index,
     // Near-data: per-SSD scans, near-memory partial aggregation,
     // on-chip merge.
     std::uint32_t ns = sys.numNs();
-    std::uint32_t nm = std::max(sys.numAims(), 1u);
+    std::uint32_t nm = sys.numAims();
     std::vector<std::size_t> scan_idx;
     for (std::uint32_t i = 0; i < ns; ++i) {
         gam::TaskDesc scan;
         scan.label = "scan-" + std::to_string(i);
-        scan.kernelTemplate = "KNN-ZCU9";
+        scan.kernelTemplate =
+            acc::kernelTemplate("KNN", acc::Level::NearStor);
         scan.level = acc::Level::NearStor;
         scan.work.ops = static_cast<double>(scale.tableBytes) / ns /
                         8 * scale.columnsTouched / 4;
         scan.work.bytesIn = scale.tableBytes / ns;
         scan.work.bytesOut = filtered / ns;
-        scan.pinnedAcc = sys.nsGamIds().at(i);
+        scan.pinnedAcc = sys.gamIdAt(acc::Level::NearStor, i);
         scan_idx.push_back(job.tasks.size());
         job.tasks.push_back(std::move(scan));
     }
@@ -108,12 +105,13 @@ AnalyticsDeployment::makeQueryJob(std::uint32_t index,
     for (std::uint32_t i = 0; i < nm; ++i) {
         gam::TaskDesc agg;
         agg.label = "aggregate-" + std::to_string(i);
-        agg.kernelTemplate = "GeMM-ZCU9";
+        agg.kernelTemplate =
+            acc::kernelTemplate("GeMM", acc::Level::NearMem);
         agg.level = acc::Level::NearMem;
         agg.work.ops = static_cast<double>(filtered) / nm / 8;
         agg.work.bytesIn = filtered / nm;
         agg.work.bytesOut = merge_bytes;
-        agg.pinnedAcc = sys.aimGamIds().at(i);
+        agg.pinnedAcc = sys.gamIdAt(acc::Level::NearMem, i);
         for (std::size_t s : scan_idx) {
             agg.deps.push_back(s);
             agg.inbound.push_back({s, filtered / ns / nm});
@@ -122,16 +120,15 @@ AnalyticsDeployment::makeQueryJob(std::uint32_t index,
         job.tasks.push_back(std::move(agg));
     }
 
+    acc::Level merge_level =
+        sys.hasOnChip() ? acc::Level::OnChip : acc::Level::Cpu;
     gam::TaskDesc merge;
     merge.label = "merge";
-    merge.kernelTemplate =
-        sys.hasOnChip() ? "GeMM-VU9P" : "GeMM-CPU";
-    merge.level =
-        sys.hasOnChip() ? acc::Level::OnChip : acc::Level::Cpu;
+    merge.kernelTemplate = acc::kernelTemplate("GeMM", merge_level);
+    merge.level = merge_level;
     merge.work.ops = static_cast<double>(scale.groups) * nm;
     merge.work.inputResident = true;
-    merge.pinnedAcc = sys.hasOnChip() ? sys.onChipGamId()
-                                      : sys.hostCoreGamId();
+    merge.pinnedAcc = sys.gamIdAt(merge_level, 0);
     for (std::size_t a : agg_idx) {
         merge.deps.push_back(a);
         merge.inbound.push_back({a, merge_bytes});

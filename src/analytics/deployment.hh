@@ -86,8 +86,6 @@ class AnalyticsDeployment
     /** Submit and simulate @p queries back-to-back queries. */
     QueryRunResult run(std::uint32_t queries);
 
-    ScanMapping mapping() const { return map; }
-
   private:
     core::ReachSystem &sys;
     AnalyticsScale scale;

@@ -8,268 +8,187 @@
 namespace reach::core
 {
 
+namespace
+{
+
+/** One row of the stage-placement table. */
+struct MappingRow
+{
+    const char *name;
+    /** Level of each Stage, indexed by its enum value. */
+    std::array<acc::Level, 3> levels;
+};
+
+MappingRow
+mappingRow(Mapping m)
+{
+    using acc::Level;
+    switch (m) {
+      case Mapping::CpuOnly:
+        return {"cpu", {Level::Cpu, Level::Cpu, Level::Cpu}};
+      case Mapping::OnChipOnly:
+        return {"onchip", {Level::OnChip, Level::OnChip, Level::OnChip}};
+      case Mapping::NearMemOnly:
+        return {"near-mem",
+                {Level::NearMem, Level::NearMem, Level::NearMem}};
+      case Mapping::NearStorOnly:
+        return {"near-stor",
+                {Level::NearStor, Level::NearStor, Level::NearStor}};
+      case Mapping::Reach:
+        return {"ReACH", {Level::OnChip, Level::NearMem, Level::NearStor}};
+    }
+    sim::panic("invalid CBIR mapping");
+}
+
+/** Per-instance random-gather throughput cap of a rerank at @p level. */
+double
+gatherBw(const SystemConfig &cfg, acc::Level level)
+{
+    switch (level) {
+      case acc::Level::Cpu:
+        return cfg.cpuGatherBw;
+      case acc::Level::OnChip:
+        return cfg.onChipGatherBw;
+      case acc::Level::NearMem:
+        return cfg.nmGatherBw;
+      case acc::Level::NearStor:
+        return cfg.nsGatherBw;
+    }
+    return 0;
+}
+
+} // namespace
+
 const char *
 mappingName(Mapping m)
 {
-    switch (m) {
-      case Mapping::CpuOnly:
-        return "cpu";
-      case Mapping::OnChipOnly:
-        return "onchip";
-      case Mapping::NearMemOnly:
-        return "near-mem";
-      case Mapping::NearStorOnly:
-        return "near-stor";
-      case Mapping::Reach:
-        return "ReACH";
+    return mappingRow(m).name;
+}
+
+const char *
+stageName(Stage s)
+{
+    switch (s) {
+      case Stage::FeatureExtraction:
+        return "Feature Extraction";
+      case Stage::Shortlist:
+        return "Short-list Retrieval";
+      case Stage::Rerank:
+        return "Rerank";
     }
     return "?";
+}
+
+std::vector<std::size_t>
+addStageTasks(gam::JobDesc &job, Stage stage, StagePlacement where,
+              const std::vector<std::size_t> &upstream, ReachSystem &sys,
+              const cbir::CbirWorkloadModel &model)
+{
+    const auto &scale = model.scale();
+    acc::Level level = where.level;
+    std::uint32_t n = where.instances;
+    bool host_side =
+        level == acc::Level::OnChip || level == acc::Level::Cpu;
+    bool per_image = stage == Stage::FeatureExtraction && !host_side;
+
+    std::vector<std::size_t> out;
+    for (std::uint32_t i = 0; i < (per_image ? scale.batchSize : n);
+         ++i) {
+        gam::TaskDesc t;
+        t.level = level;
+        t.pinnedAcc = sys.gamIdAt(level, i % n);
+        // Bytes this task reads, before the split over producers.
+        std::uint64_t input = 0;
+        switch (stage) {
+          case Stage::FeatureExtraction:
+            t.label = "feature-extract";
+            t.kernelTemplate = acc::kernelTemplate("CNN", level);
+            t.work = per_image ? model.featureExtractionSingle()
+                               : model.featureExtractionBatch();
+            input = model.queryImageBytes() *
+                    (per_image ? 1 : scale.batchSize);
+            break;
+          case Stage::Shortlist:
+            t.label = "shortlist";
+            t.kernelTemplate = acc::kernelTemplate("GeMM", level);
+            t.work = model.shortlistBatch(n);
+            input = model.featureVectorBytes() * scale.batchSize;
+            break;
+          case Stage::Rerank:
+            t.label = "rerank";
+            t.kernelTemplate = acc::kernelTemplate("KNN", level);
+            t.work = model.rerankBatch(n);
+            t.work.inputOverride = sys.ssdGatherPath(level, i);
+            t.work.inputThrottleBw = gatherBw(sys.config(), level);
+            input = std::uint64_t(scale.batchSize) *
+                    scale.rerankCandidates * 4 / n;
+            break;
+        }
+        if (!host_side)
+            t.label += "-" + std::to_string(i);
+
+        if (upstream.empty()) {
+            t.inbound.push_back({gam::InboundTransfer::fromHost, input});
+        } else {
+            for (std::size_t src : upstream)
+                t.inbound.push_back({src, input / upstream.size()});
+            t.deps = upstream;
+        }
+        out.push_back(job.tasks.size());
+        job.tasks.push_back(std::move(t));
+    }
+    return out;
 }
 
 CbirDeployment::CbirDeployment(ReachSystem &system,
                                const cbir::CbirWorkloadModel &wl,
                                Mapping mapping, std::uint32_t instances)
-    : sys(system), model(wl), map(mapping), numInstances(instances)
+    : sys(system), model(wl), map(mapping)
 {
-    switch (map) {
-      case Mapping::CpuOnly:
-        numInstances = 1;
-        break;
-      case Mapping::OnChipOnly:
-        if (!sys.hasOnChip())
-            sim::fatal("on-chip mapping needs an on-chip accelerator");
-        numInstances = 1;
-        break;
-      case Mapping::NearMemOnly:
-        if (numInstances == 0)
-            numInstances = sys.numAims();
-        if (numInstances > sys.numAims())
-            sim::fatal("mapping wants ", numInstances,
-                       " AIM modules, system has ", sys.numAims());
-        break;
-      case Mapping::NearStorOnly:
-        if (numInstances == 0)
-            numInstances = sys.numNs();
-        if (numInstances > sys.numNs())
-            sim::fatal("mapping wants ", numInstances,
-                       " NS modules, system has ", sys.numNs());
-        break;
-      case Mapping::Reach:
-        if (!sys.hasOnChip())
-            sim::fatal("ReACH mapping needs an on-chip accelerator");
-        numInstances = 0; // uses all modules at each level
-        break;
+    auto levels = mappingRow(map).levels;
+    bool single_level = levels[0] == levels[1] && levels[1] == levels[2];
+    for (std::size_t s = 0; s < levels.size(); ++s) {
+        acc::Level level = levels[s];
+        bool near_data = level == acc::Level::NearMem ||
+                         level == acc::Level::NearStor;
+        std::uint32_t avail = sys.instancesAt(level);
+        std::uint32_t n =
+            single_level && near_data && instances != 0 ? instances
+                                                        : avail;
+        if (n == 0 || n > avail) {
+            sim::fatal(mappingName(map), " mapping places ",
+                       stageName(static_cast<Stage>(s)), " on ", n, " ",
+                       acc::levelName(level), " instances, system has ",
+                       avail);
+        }
+        placement[s] = {level, n};
     }
 }
 
-acc::Path
-CbirDeployment::ssdGatherPathTo(acc::Level level, std::uint32_t instance)
-{
-    // The dataset is sharded across all SSDs; gathers stripe over the
-    // array, through the host IO switch, staged in host DRAM, then
-    // into the consumer's port.
-    acc::Path p;
-    for (std::uint32_t s = 0; s < sys.config().numSsds; ++s)
-        p.from(&sys.ssdAt(s), &sys.ssdHostLink(s));
-    p.via(sys.hostIoUplink()).via(sys.hostDramLink());
-    if (level == acc::Level::OnChip || level == acc::Level::Cpu)
-        p.via(sys.cacheLink());
-    else if (level == acc::Level::NearMem)
-        p.via(sys.aimLocalLink(instance));
-    return p;
-}
-
-void
-CbirDeployment::addFeatureTasks(gam::JobDesc &job)
+std::size_t
+CbirDeployment::addShortlistMerge(gam::JobDesc &job,
+                                  const std::vector<std::size_t> &sl)
 {
     const auto &scale = model.scale();
-
-    if (map == Mapping::CpuOnly || map == Mapping::OnChipOnly ||
-        map == Mapping::Reach) {
-        bool cpu = map == Mapping::CpuOnly;
-        gam::TaskDesc t;
-        t.label = "feature-extract";
-        t.kernelTemplate = cpu ? "CNN-CPU" : "CNN-VU9P";
-        t.level = cpu ? acc::Level::Cpu : acc::Level::OnChip;
-        t.work = model.featureExtractionBatch();
-        t.pinnedAcc = cpu ? sys.hostCoreGamId() : sys.onChipGamId();
-        t.inbound.push_back({gam::InboundTransfer::fromHost,
-                             model.queryImageBytes() * scale.batchSize});
-        job.tasks.push_back(std::move(t));
-        return;
+    std::uint64_t n = sl.size();
+    gam::TaskDesc merge;
+    merge.label = "shortlist-merge";
+    merge.kernelTemplate = acc::kernelTemplate("GeMM", acc::Level::NearMem);
+    merge.level = acc::Level::NearMem;
+    merge.pinnedAcc = sys.gamIdAt(acc::Level::NearMem, 0);
+    // Merging n sorted nprobe-lists per query: trivial compute.
+    merge.work.ops = static_cast<double>(scale.batchSize) *
+                     scale.nprobe * n;
+    std::uint64_t partial_bytes =
+        (std::uint64_t(scale.batchSize) * scale.nprobe * 8 +
+         std::uint64_t(scale.batchSize) * scale.rerankCandidates * 4) /
+        n;
+    for (std::size_t src : sl) {
+        merge.deps.push_back(src);
+        merge.inbound.push_back({src, partial_bytes});
     }
-
-    // Near-data variants run one image per task with duplicated
-    // parameters (paper §VI-B).
-    bool near_mem = map == Mapping::NearMemOnly;
-    const auto &ids = near_mem ? sys.aimGamIds() : sys.nsGamIds();
-    for (std::uint32_t img = 0; img < scale.batchSize; ++img) {
-        gam::TaskDesc t;
-        t.label = "feature-extract-" + std::to_string(img);
-        t.kernelTemplate = "CNN-ZCU9";
-        t.level = near_mem ? acc::Level::NearMem : acc::Level::NearStor;
-        t.work = model.featureExtractionSingle();
-        t.pinnedAcc = ids.at(img % numInstances);
-        t.inbound.push_back(
-            {gam::InboundTransfer::fromHost, model.queryImageBytes()});
-        job.tasks.push_back(std::move(t));
-    }
-}
-
-std::vector<std::size_t>
-CbirDeployment::addShortlistTasks(gam::JobDesc &job,
-                                  const std::vector<std::size_t> &fe)
-{
-    const auto &scale = model.scale();
-    std::vector<std::size_t> out;
-
-    std::uint64_t feature_batch_bytes =
-        model.featureVectorBytes() * scale.batchSize;
-
-    auto feature_inbound = [&](gam::TaskDesc &t) {
-        // The feature batch is broadcast to every short-list
-        // instance; with per-image FE tasks each producer sends its
-        // own vector.
-        for (std::size_t src : fe) {
-            t.inbound.push_back(
-                {src, feature_batch_bytes / fe.size()});
-        }
-        t.deps.assign(fe.begin(), fe.end());
-    };
-
-    if (map == Mapping::CpuOnly || map == Mapping::OnChipOnly) {
-        bool cpu = map == Mapping::CpuOnly;
-        gam::TaskDesc t;
-        t.label = "shortlist";
-        t.kernelTemplate = cpu ? "GeMM-CPU" : "GeMM-VU9P";
-        t.level = cpu ? acc::Level::Cpu : acc::Level::OnChip;
-        t.work = model.shortlistBatch(1);
-        t.pinnedAcc = cpu ? sys.hostCoreGamId() : sys.onChipGamId();
-        feature_inbound(t);
-        out.push_back(job.tasks.size());
-        job.tasks.push_back(std::move(t));
-        return out;
-    }
-
-    bool near_mem =
-        map == Mapping::NearMemOnly || map == Mapping::Reach;
-    std::uint32_t n = near_mem
-                          ? (map == Mapping::Reach ? sys.numAims()
-                                                   : numInstances)
-                          : numInstances;
-    const auto &ids = near_mem ? sys.aimGamIds() : sys.nsGamIds();
-
-    for (std::uint32_t i = 0; i < n; ++i) {
-        gam::TaskDesc t;
-        t.label = "shortlist-" + std::to_string(i);
-        t.kernelTemplate = "GeMM-ZCU9";
-        t.level = near_mem ? acc::Level::NearMem : acc::Level::NearStor;
-        t.work = model.shortlistBatch(n);
-        t.pinnedAcc = ids.at(i);
-        feature_inbound(t);
-        out.push_back(job.tasks.size());
-        job.tasks.push_back(std::move(t));
-    }
-
-    // Near-memory partitions hold per-partition top-nprobe lists;
-    // one module merges them, with the partials exchanged over the
-    // AIMbus (paper Fig. 3: inter-DIMM communication). Downstream
-    // consumers then depend on the merged list only.
-    if (near_mem && n > 1) {
-        gam::TaskDesc merge;
-        merge.label = "shortlist-merge";
-        merge.kernelTemplate = "GeMM-ZCU9";
-        merge.level = acc::Level::NearMem;
-        merge.pinnedAcc = ids.at(0);
-        // Merging n sorted nprobe-lists per query: trivial compute.
-        merge.work.ops = static_cast<double>(scale.batchSize) *
-                         scale.nprobe * n;
-        std::uint64_t partial_bytes =
-            (std::uint64_t(scale.batchSize) * scale.nprobe * 8 +
-             std::uint64_t(scale.batchSize) * scale.rerankCandidates *
-                 4) /
-            n;
-        for (std::size_t src : out) {
-            merge.deps.push_back(src);
-            merge.inbound.push_back({src, partial_bytes});
-        }
-        std::size_t merge_index = job.tasks.size();
-        job.tasks.push_back(std::move(merge));
-        out.assign(1, merge_index);
-    }
-    return out;
-}
-
-std::vector<std::size_t>
-CbirDeployment::addRerankTasks(gam::JobDesc &job,
-                               const std::vector<std::size_t> &sl)
-{
-    const auto &scale = model.scale();
-    std::vector<std::size_t> out;
-
-    std::uint64_t candidate_id_bytes = std::uint64_t(scale.batchSize) *
-                                       scale.rerankCandidates * 4;
-
-    auto candidate_inbound = [&](gam::TaskDesc &t,
-                                 std::uint32_t partitions) {
-        for (std::size_t src : sl) {
-            t.inbound.push_back(
-                {src, candidate_id_bytes / partitions / sl.size()});
-        }
-        t.deps.assign(sl.begin(), sl.end());
-    };
-
-    if (map == Mapping::CpuOnly || map == Mapping::OnChipOnly) {
-        bool cpu = map == Mapping::CpuOnly;
-        gam::TaskDesc t;
-        t.label = "rerank";
-        t.kernelTemplate = cpu ? "KNN-CPU" : "KNN-VU9P";
-        t.level = cpu ? acc::Level::Cpu : acc::Level::OnChip;
-        t.work = model.rerankBatch(1);
-        t.work.inputOverride = ssdGatherPathTo(t.level, 0);
-        t.work.inputThrottleBw = cpu ? sys.config().cpuGatherBw
-                                     : sys.config().onChipGatherBw;
-        t.pinnedAcc = cpu ? sys.hostCoreGamId() : sys.onChipGamId();
-        candidate_inbound(t, 1);
-        out.push_back(job.tasks.size());
-        job.tasks.push_back(std::move(t));
-        return out;
-    }
-
-    if (map == Mapping::NearMemOnly) {
-        for (std::uint32_t i = 0; i < numInstances; ++i) {
-            gam::TaskDesc t;
-            t.label = "rerank-" + std::to_string(i);
-            t.kernelTemplate = "KNN-ZCU9";
-            t.level = acc::Level::NearMem;
-            t.work = model.rerankBatch(numInstances);
-            t.work.inputOverride =
-                ssdGatherPathTo(acc::Level::NearMem, i);
-            t.work.inputThrottleBw = sys.config().nmGatherBw;
-            t.pinnedAcc = sys.aimGamIds().at(i);
-            candidate_inbound(t, numInstances);
-            out.push_back(job.tasks.size());
-            job.tasks.push_back(std::move(t));
-        }
-        return out;
-    }
-
-    // Near-storage rerank (NearStorOnly and Reach): each module
-    // gathers from its own SSD at full internal bandwidth.
-    std::uint32_t n = map == Mapping::Reach ? sys.numNs() : numInstances;
-    for (std::uint32_t i = 0; i < n; ++i) {
-        gam::TaskDesc t;
-        t.label = "rerank-" + std::to_string(i);
-        t.kernelTemplate = "KNN-ZCU9";
-        t.level = acc::Level::NearStor;
-        t.work = model.rerankBatch(n);
-        t.work.inputThrottleBw = sys.config().nsGatherBw;
-        t.pinnedAcc = sys.nsGamIds().at(i);
-        candidate_inbound(t, n);
-        out.push_back(job.tasks.size());
-        job.tasks.push_back(std::move(t));
-    }
-    return out;
+    job.tasks.push_back(std::move(merge));
+    return job.tasks.size() - 1;
 }
 
 void
@@ -284,10 +203,12 @@ CbirDeployment::addReverseLookupTasks(
     for (std::uint32_t i = 0; i < n; ++i) {
         gam::TaskDesc t;
         t.label = "reverse-lookup-" + std::to_string(i);
-        t.kernelTemplate = "KNN-ZCU9"; // streaming fetch engine
+        // Streaming fetch engine.
+        t.kernelTemplate =
+            acc::kernelTemplate("KNN", acc::Level::NearStor);
         t.level = acc::Level::NearStor;
         t.work = model.reverseLookupBatch(n);
-        t.pinnedAcc = sys.nsGamIds().at(i);
+        t.pinnedAcc = sys.gamIdAt(acc::Level::NearStor, i);
         std::uint64_t id_bytes =
             std::uint64_t(model.scale().batchSize) *
             model.scale().topK * 8 / n;
@@ -311,13 +232,22 @@ CbirDeployment::makeBatchJob(std::uint32_t batch_index,
     job.onComplete = std::move(on_done);
     job.onFailed = std::move(on_failed);
 
-    addFeatureTasks(job);
-    std::vector<std::size_t> fe(job.tasks.size());
-    for (std::size_t i = 0; i < fe.size(); ++i)
-        fe[i] = i;
-
-    auto sl = addShortlistTasks(job, fe);
-    auto rr = addRerankTasks(job, sl);
+    auto at = [this](Stage s) {
+        return placement[static_cast<std::size_t>(s)];
+    };
+    auto fe = addStageTasks(job, Stage::FeatureExtraction,
+                            at(Stage::FeatureExtraction), {}, sys, model);
+    auto sl = addStageTasks(job, Stage::Shortlist, at(Stage::Shortlist),
+                            fe, sys, model);
+    // Near-memory partitions hold per-partition top-nprobe lists;
+    // one module merges them, with the partials exchanged over the
+    // AIMbus (paper Fig. 3: inter-DIMM communication). Only a
+    // pipeline needs the merge: the rerank downstream then depends
+    // on the merged list only.
+    if (at(Stage::Shortlist).level == acc::Level::NearMem && sl.size() > 1)
+        sl.assign(1, addShortlistMerge(job, sl));
+    auto rr = addStageTasks(job, Stage::Rerank, at(Stage::Rerank), sl,
+                            sys, model);
     if (model.scale().includeReverseLookup)
         addReverseLookupTasks(job, rr);
     return job;

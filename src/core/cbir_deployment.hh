@@ -3,7 +3,9 @@
  * Deployment of the CBIR pipeline onto the compute hierarchy
  * (paper §IV-B and §VI).
  *
- * Four mappings are supported:
+ * A mapping is a stage-placement table: the level each of the three
+ * online stages runs at. Five mappings are supported:
+ *  - CpuOnly:      all three stages in software on the host core;
  *  - OnChipOnly:   all three stages on the on-chip accelerator
  *                  (the paper's baseline);
  *  - NearMemOnly:  all stages on the AIM modules;
@@ -14,12 +16,15 @@
  *
  * Each query batch becomes one GAM job whose task graph encodes the
  * level assignment, data partitioning across instances, and
- * inter-stage transfers.
+ * inter-stage transfers. One stage builder (addStageTasks) turns a
+ * placement into tasks, for the pipeline and for isolated-stage runs
+ * alike.
  */
 
 #ifndef REACH_CORE_CBIR_DEPLOYMENT_HH
 #define REACH_CORE_CBIR_DEPLOYMENT_HH
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -43,6 +48,41 @@ enum class Mapping
 };
 
 const char *mappingName(Mapping m);
+
+/** The three online CBIR stages, in pipeline order. */
+enum class Stage
+{
+    FeatureExtraction,
+    Shortlist,
+    Rerank,
+};
+
+const char *stageName(Stage s);
+
+/** Where one stage runs: a level and how many of its instances. */
+struct StagePlacement
+{
+    acc::Level level;
+    std::uint32_t instances;
+};
+
+/**
+ * Append one batch of @p stage to @p job, placed at @p where, and
+ * return the indices of the new tasks. With empty @p upstream the
+ * stage reads its input from the host; otherwise each task depends
+ * on every upstream task and its input bytes are split evenly over
+ * them.
+ *
+ * Feature extraction off the host side runs one image per task with
+ * duplicated parameters (paper §VI-B); the short-list partitions the
+ * centroid table over the instances, each receiving the whole feature
+ * batch; rerank partitions the candidates, and off near storage it
+ * gathers them from the SSD array.
+ */
+std::vector<std::size_t> addStageTasks(
+    gam::JobDesc &job, Stage stage, StagePlacement where,
+    const std::vector<std::size_t> &upstream, ReachSystem &sys,
+    const cbir::CbirWorkloadModel &model);
 
 /** Result of running a stream of query batches. */
 struct RunResult
@@ -111,8 +151,10 @@ class CbirDeployment
 {
   public:
     /**
-     * @param instances Number of accelerator instances to use at the
-     *        near-data levels (0 = all available).
+     * @param instances Instances per stage for a single-level
+     *        near-data mapping (0 = all available). Host-side levels
+     *        have one instance, and ReACH spreads each stage over
+     *        every module at its level.
      */
     CbirDeployment(ReachSystem &system,
                    const cbir::CbirWorkloadModel &model, Mapping mapping,
@@ -137,29 +179,23 @@ class CbirDeployment
      */
     RunResult run(std::uint32_t batches);
 
-    Mapping mapping() const { return map; }
-    std::uint32_t instancesUsed() const { return numInstances; }
-
   private:
-    /** WorkUnit + task list for the feature-extraction stage. */
-    void addFeatureTasks(gam::JobDesc &job);
-    /** Short-list stage; returns indices of its tasks. */
-    std::vector<std::size_t> addShortlistTasks(
-        gam::JobDesc &job, const std::vector<std::size_t> &fe_tasks);
-    std::vector<std::size_t> addRerankTasks(
-        gam::JobDesc &job, const std::vector<std::size_t> &sl_tasks);
+    /**
+     * One module merges the per-partition short-lists over the
+     * AIMbus; returns the merge task's index.
+     */
+    std::size_t addShortlistMerge(gam::JobDesc &job,
+                                  const std::vector<std::size_t> &sl);
 
     /** Optional 4th stage: fetch the top-K images (extension). */
     void addReverseLookupTasks(
         gam::JobDesc &job, const std::vector<std::size_t> &rr_tasks);
 
-    /** SSD-array gather path terminating at a coherent/NM consumer. */
-    acc::Path ssdGatherPathTo(acc::Level level, std::uint32_t instance);
-
     ReachSystem &sys;
     cbir::CbirWorkloadModel model;
     Mapping map;
-    std::uint32_t numInstances;
+    /** Placement of each Stage, indexed by its enum value. */
+    std::array<StagePlacement, 3> placement;
 };
 
 } // namespace reach::core

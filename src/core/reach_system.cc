@@ -279,6 +279,56 @@ ReachSystem::wireFaults()
         s->setFaultInjector(faultInj.get());
 }
 
+std::uint32_t
+ReachSystem::instancesAt(acc::Level level) const
+{
+    switch (level) {
+      case acc::Level::OnChip:
+        return hasOnChip() ? 1 : 0;
+      case acc::Level::Cpu:
+        return 1;
+      case acc::Level::NearMem:
+        return numAims();
+      case acc::Level::NearStor:
+        return numNs();
+    }
+    return 0;
+}
+
+std::uint32_t
+ReachSystem::gamIdAt(acc::Level level, std::uint32_t i) const
+{
+    if (i >= instancesAt(level)) {
+        sim::fatal("no ", acc::levelName(level), " instance ", i,
+                   " (system has ", instancesAt(level), ")");
+    }
+    switch (level) {
+      case acc::Level::OnChip:
+        return onChipId;
+      case acc::Level::Cpu:
+        return cpuId;
+      case acc::Level::NearMem:
+        return aimIds[i];
+      case acc::Level::NearStor:
+        return nsIds[i];
+    }
+    return ~0u;
+}
+
+acc::Path
+ReachSystem::ssdGatherPath(acc::Level level, std::uint32_t i)
+{
+    acc::Path p;
+    if (level == acc::Level::NearStor)
+        return p;
+    for (std::uint32_t s = 0; s < ssds.size(); ++s)
+        p.from(ssds[s].get(), ssdHost[s].get());
+    p.via(*hostIo).via(*hostDram);
+    if (level == acc::Level::NearMem)
+        return p.via(*aimLocal.at(i));
+    return p.via(*cachePort);
+}
+
 acc::Path
 ReachSystem::pathBetween(const acc::Accelerator *from,
                          const acc::Accelerator *to)

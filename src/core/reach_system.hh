@@ -48,7 +48,6 @@ class ReachSystem
 
     /** The host core as a software compute target (CPU baselines). */
     acc::Accelerator &hostCore() { return *cpuCore; }
-    std::uint32_t hostCoreGamId() const { return cpuId; }
 
     std::uint32_t numAims() const
     {
@@ -64,13 +63,26 @@ class ReachSystem
 
     storage::Ssd &ssdAt(std::uint32_t i) { return *ssds.at(i); }
 
-    /** GAM accelerator ids (progress-table rows). */
-    std::uint32_t onChipGamId() const { return onChipId; }
-    const std::vector<std::uint32_t> &aimGamIds() const
-    {
-        return aimIds;
-    }
-    const std::vector<std::uint32_t> &nsGamIds() const { return nsIds; }
+    /**
+     * Compute instances at @p level: the AIM / near-storage module
+     * count, one host core, and one on-chip accelerator unless the
+     * config disabled it.
+     */
+    std::uint32_t instancesAt(acc::Level level) const;
+
+    /**
+     * GAM accelerator id (progress-table row) of instance @p i at
+     * @p level; fatal() if the level has no such instance.
+     */
+    std::uint32_t gamIdAt(acc::Level level, std::uint32_t i) const;
+
+    /**
+     * Input path of a gather from the striped SSD array into
+     * instance @p i at @p level: every SSD through the host IO
+     * switch, staged in host DRAM, then into the consumer's port.
+     * Empty at NearStor, where each module reads its own drive.
+     */
+    acc::Path ssdGatherPath(acc::Level level, std::uint32_t i);
 
     /** The calibrated host-DRAM streaming bandwidth in use (B/s). */
     double hostDramBandwidth() const { return hostDramBw; }

@@ -100,32 +100,14 @@ ReachRuntime::registerAcc(const std::string &acc_template, Level level)
             ++claimed;
     }
 
-    switch (level) {
-      case Level::OnChip:
-        if (!sys->hasOnChip() || claimed >= 1)
-            sim::fatal("no free on-chip accelerator to register '",
-                       acc_template, "'");
-        reg.gamId = sys->onChipGamId();
-        break;
-      case Level::NearMem:
-        if (claimed >= sys->numAims())
-            sim::fatal("all ", sys->numAims(),
-                       " AIM modules already registered");
-        reg.gamId = sys->aimGamIds().at(claimed);
-        break;
-      case Level::NearStor:
-        if (claimed >= sys->numNs())
-            sim::fatal("all ", sys->numNs(),
-                       " near-storage modules already registered");
-        reg.gamId = sys->nsGamIds().at(claimed);
-        break;
-      case Level::Cpu:
-        // Software kernels time-share the single host core.
-        if (claimed >= 1)
-            sim::fatal("the host core is already registered");
-        reg.gamId = sys->hostCoreGamId();
-        break;
+    // Software kernels time-share the single host core.
+    std::uint32_t avail = sys->instancesAt(level);
+    if (claimed >= avail) {
+        sim::fatal("no free ", acc::levelName(level),
+                   " accelerator to register '", acc_template,
+                   "' (all ", avail, " registered)");
     }
+    reg.gamId = sys->gamIdAt(level, claimed);
 
     accs.push_back(std::move(reg));
     return AccHandle(this, static_cast<std::uint32_t>(accs.size() - 1));
@@ -396,9 +378,9 @@ ReachRuntime::flushJob()
 
         gam::TaskDesc t;
         t.label = "host-process";
-        t.kernelTemplate = "PROC-CPU";
+        t.kernelTemplate = acc::kernelTemplate("PROC", Level::Cpu);
         t.level = Level::Cpu;
-        t.pinnedAcc = sys->hostCoreGamId();
+        t.pinnedAcc = sys->gamIdAt(Level::Cpu, 0);
         t.work.ops = 2.0 * static_cast<double>(s.bytes);
         t.work.bytesIn = s.bytes;
         t.work.inputResident = true;

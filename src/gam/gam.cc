@@ -256,10 +256,8 @@ Gam::remapTemplate(const std::string &tmpl, acc::Level level) const
     auto dash = tmpl.rfind('-');
     if (dash == std::string::npos)
         return {};
-    const char *suffix = level == acc::Level::OnChip ? "VU9P"
-                         : level == acc::Level::Cpu ? "CPU"
-                                                    : "ZCU9";
-    std::string candidate = tmpl.substr(0, dash + 1) + suffix;
+    std::string candidate =
+        acc::kernelTemplate(tmpl.substr(0, dash), level);
     return acc::findKernelMaybe(candidate) ? candidate : std::string{};
 }
 

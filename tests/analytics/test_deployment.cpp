@@ -49,6 +49,16 @@ TEST(AnalyticsDeployment, ValidatesScale)
         sim::SimFatal);
 }
 
+TEST(AnalyticsDeployment, NearDataWithoutAimModulesIsFatal)
+{
+    core::SystemConfig cfg;
+    cfg.numAimModules = 0;
+    core::ReachSystem sys{cfg};
+    EXPECT_THROW(
+        AnalyticsDeployment(sys, smallScale(), ScanMapping::NearData),
+        sim::SimFatal);
+}
+
 TEST(AnalyticsDeployment, JobShapes)
 {
     core::ReachSystem sys{core::SystemConfig{}};

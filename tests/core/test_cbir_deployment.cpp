@@ -1,11 +1,13 @@
 /**
  * @file
- * Tests of the CBIR deployment layer: the four mappings build valid
+ * Tests of the CBIR deployment layer: the five mappings build valid
  * job graphs, run to completion, and reproduce the paper's ordering
  * relations (ReACH fastest, proper scaling behaviour).
  */
 
 #include <gtest/gtest.h>
+
+#include <numeric>
 
 #include "core/cbir_deployment.hh"
 #include "sim/logging.hh"
@@ -83,6 +85,130 @@ TEST(CbirDeployment, JobGraphShapeNearData)
     EXPECT_EQ(job.tasks.size(), 25u);
     for (std::size_t i = 0; i < 16; ++i)
         EXPECT_EQ(job.tasks[i].level, acc::Level::NearMem);
+}
+
+/** A run of consecutive tasks with the same placement and deps. */
+struct TaskGroup
+{
+    std::size_t count;
+    acc::Level level;
+    const char *kernel;
+    /** Task j of the group is pinned to instance j % instances. */
+    std::uint32_t instances;
+    /** Every task of the group depends on tasks [depBegin, depEnd). */
+    std::size_t depBegin;
+    std::size_t depEnd;
+};
+
+TEST(CbirDeployment, JobGraphPerMapping)
+{
+    using acc::Level;
+    // Default machine: 4 AIM modules, 4 SSD-paired NS modules, and a
+    // 16-image batch.
+    const std::vector<std::pair<Mapping, std::vector<TaskGroup>>> rows{
+        {Mapping::CpuOnly,
+         {{1, Level::Cpu, "CNN-CPU", 1, 0, 0},
+          {1, Level::Cpu, "GeMM-CPU", 1, 0, 1},
+          {1, Level::Cpu, "KNN-CPU", 1, 1, 2}}},
+        {Mapping::OnChipOnly,
+         {{1, Level::OnChip, "CNN-VU9P", 1, 0, 0},
+          {1, Level::OnChip, "GeMM-VU9P", 1, 0, 1},
+          {1, Level::OnChip, "KNN-VU9P", 1, 1, 2}}},
+        // Single-image FE tasks round-robin over the modules; the
+        // near-memory short-list partitions meet in one merge.
+        {Mapping::NearMemOnly,
+         {{16, Level::NearMem, "CNN-ZCU9", 4, 0, 0},
+          {4, Level::NearMem, "GeMM-ZCU9", 4, 0, 16},
+          {1, Level::NearMem, "GeMM-ZCU9", 1, 16, 20},
+          {4, Level::NearMem, "KNN-ZCU9", 4, 20, 21}}},
+        // Near-storage partitions are not merged: every rerank task
+        // reads every partial list.
+        {Mapping::NearStorOnly,
+         {{16, Level::NearStor, "CNN-ZCU9", 4, 0, 0},
+          {4, Level::NearStor, "GeMM-ZCU9", 4, 0, 16},
+          {4, Level::NearStor, "KNN-ZCU9", 4, 16, 20}}},
+        {Mapping::Reach,
+         {{1, Level::OnChip, "CNN-VU9P", 1, 0, 0},
+          {4, Level::NearMem, "GeMM-ZCU9", 4, 0, 1},
+          {1, Level::NearMem, "GeMM-ZCU9", 1, 1, 5},
+          {4, Level::NearStor, "KNN-ZCU9", 4, 5, 6}}},
+    };
+
+    for (const auto &[mapping, groups] : rows) {
+        SCOPED_TRACE(mappingName(mapping));
+        ReachSystem sys{SystemConfig{}};
+        CbirDeployment dep(sys, paperModel(), mapping);
+        auto job = dep.makeBatchJob(0, nullptr);
+
+        std::size_t k = 0;
+        for (const TaskGroup &g : groups) {
+            std::vector<std::size_t> deps(g.depEnd - g.depBegin);
+            std::iota(deps.begin(), deps.end(), g.depBegin);
+            for (std::size_t j = 0; j < g.count; ++j, ++k) {
+                ASSERT_LT(k, job.tasks.size());
+                const gam::TaskDesc &t = job.tasks[k];
+                SCOPED_TRACE(t.label);
+                EXPECT_EQ(t.level, g.level);
+                EXPECT_EQ(t.kernelTemplate, g.kernel);
+                ASSERT_TRUE(t.pinnedAcc.has_value());
+                EXPECT_EQ(*t.pinnedAcc,
+                          sys.gamIdAt(g.level, j % g.instances));
+                EXPECT_EQ(t.deps, deps);
+            }
+        }
+        EXPECT_EQ(job.tasks.size(), k);
+    }
+}
+
+TEST(CbirDeployment, StageInboundBytesAreConserved)
+{
+    // Per stage, the bytes one task reads: the images it extracts,
+    // the whole feature batch (broadcast to every short-list
+    // partition), or its share of the candidate ids.
+    cbir::CbirWorkloadModel model = paperModel();
+    const auto &scale = model.scale();
+    const std::uint64_t images = model.queryImageBytes() * scale.batchSize;
+    const std::uint64_t features =
+        model.featureVectorBytes() * scale.batchSize;
+    const std::uint64_t candidates =
+        std::uint64_t(scale.batchSize) * scale.rerankCandidates * 4;
+
+    ReachSystem sys{SystemConfig{}};
+    for (acc::Level level : {acc::Level::OnChip, acc::Level::NearMem,
+                             acc::Level::NearStor}) {
+        std::uint32_t n = sys.instancesAt(level);
+        const std::pair<Stage, std::uint64_t> stages[] = {
+            {Stage::FeatureExtraction, images},
+            {Stage::Shortlist, features * n},
+            {Stage::Rerank, candidates},
+        };
+        for (const auto &[stage, expected] : stages) {
+            // Host input, then 1 and 4 upstream producers.
+            for (std::size_t producers : {0u, 1u, 4u}) {
+                SCOPED_TRACE(std::string(acc::levelName(level)) + " " +
+                             stageName(stage) + " producers=" +
+                             std::to_string(producers));
+                gam::JobDesc job;
+                std::vector<std::size_t> upstream(producers);
+                std::iota(upstream.begin(), upstream.end(), 0);
+                job.tasks.resize(producers);
+                auto idx = addStageTasks(job, stage, {level, n},
+                                         upstream, sys, model);
+                std::uint64_t total = 0;
+                for (std::size_t i : idx) {
+                    for (const auto &in : job.tasks[i].inbound) {
+                        if (producers == 0) {
+                            EXPECT_EQ(in.from,
+                                      gam::InboundTransfer::fromHost);
+                        }
+                        total += in.bytes;
+                    }
+                    EXPECT_EQ(job.tasks[i].deps, upstream);
+                }
+                EXPECT_EQ(total, expected);
+            }
+        }
+    }
 }
 
 TEST(CbirDeployment, ShortlistMergeUsesTheAimBus)
@@ -202,6 +328,21 @@ TEST(CbirDeployment, TooManyInstancesIsFatal)
     EXPECT_THROW(
         CbirDeployment(sys, paperModel(), Mapping::NearMemOnly, 99),
         sim::SimFatal);
+}
+
+TEST(CbirDeployment, ZeroInstancePlacementsAreFatal)
+{
+    SystemConfig cfg;
+    cfg.numAimModules = 0;
+    ReachSystem sys{cfg};
+    // ReACH's short-list and every near-memory stage need an AIM
+    // module; the near-storage mapping does not.
+    EXPECT_THROW(CbirDeployment(sys, paperModel(), Mapping::Reach),
+                 sim::SimFatal);
+    EXPECT_THROW(CbirDeployment(sys, paperModel(), Mapping::NearMemOnly),
+                 sim::SimFatal);
+    EXPECT_NO_THROW(
+        CbirDeployment(sys, paperModel(), Mapping::NearStorOnly));
 }
 
 TEST(CbirDeployment, ReachNeedsOnChip)
