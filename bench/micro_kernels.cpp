@@ -21,6 +21,7 @@
 #include "cbir/shortlist.hh"
 #include "common.hh"
 #include "parallel/parallel.hh"
+#include "service/query_service.hh"
 #include "sim/event_queue.hh"
 #include "sim/rng.hh"
 #include "simd/aligned.hh"
@@ -662,6 +663,38 @@ BM_EventQueue(benchmark::State &state)
     state.SetItemsProcessed(total_executed);
 }
 BENCHMARK(BM_EventQueue);
+
+/**
+ * The simulator's own host speed: one open-loop OnChipOnly stream of
+ * 300 requests at 400 req/s through QueryService on the default
+ * scale. Items processed = simulated requests, so the rate is
+ * simulated requests per host second. The host-DRAM bandwidth is
+ * calibrated once outside the timed region and passed in, which
+ * leaves the simulated schedule unchanged.
+ */
+void
+BM_OnChipServiceStream(benchmark::State &state)
+{
+    sim::setQuiet(true);
+    core::SystemConfig sys_cfg;
+    sys_cfg.hostDramStreamBw = core::ReachSystem{}.hostDramBandwidth();
+    service::ServiceConfig cfg;
+    cfg.totalRequests = 300;
+    cfg.arrival.ratePerSec = 400;
+    cfg.sloLatency = 150 * sim::tickPerMs;
+    cfg.formTimeout = 4 * sim::tickPerMs;
+    cfg.initialLatencyEstimate = 10 * sim::tickPerMs;
+    for (auto _ : state) {
+        core::ReachSystem sys(sys_cfg);
+        service::QueryService svc(sys, cbir::ScaleConfig{},
+                                  core::Mapping::OnChipOnly, cfg);
+        service::ServiceResult r = svc.run();
+        benchmark::DoNotOptimize(r.makespan);
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(
+        state.iterations() * cfg.totalRequests));
+}
+BENCHMARK(BM_OnChipServiceStream);
 
 /**
  * The Figure-13 sweep (all four mapping options, latency +

@@ -199,13 +199,14 @@ Accelerator::reserveTask(const WorkUnit &work)
                 arrive = std::max(arrive, throttle_free);
 
             if (accTlb && !work.inputResident) {
-                std::uint64_t pages = this_in / 4096 + 1;
-                sim::Tick extra = 0;
-                for (std::uint64_t p = 0; p < pages; ++p) {
-                    // Sequential streaming: a fresh page each 4 KiB.
-                    extra += accTlb->translate(streamCursor);
-                    streamCursor += 4096;
-                }
+                // Sequential streaming in 4 KiB steps. The cursor only
+                // grows, so no streamed page is resident again. The +1
+                // takes one step more than a whole-page chunk spans
+                // (DESIGN.md §4l).
+                std::uint64_t steps = this_in / 4096 + 1;
+                sim::Tick extra =
+                    accTlb->translateRange(streamCursor, steps, 4096);
+                streamCursor += steps * 4096;
                 arrive += extra / walk_overlap;
             }
 

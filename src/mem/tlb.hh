@@ -13,8 +13,7 @@
 #define REACH_MEM_TLB_HH
 
 #include <cstdint>
-#include <list>
-#include <unordered_map>
+#include <vector>
 
 #include "mem/packet.hh"
 #include "sim/simulator.hh"
@@ -43,6 +42,16 @@ class Tlb : public sim::SimObject
      */
     sim::Tick translate(Addr addr);
 
+    /**
+     * Translate the @p steps addresses first, first + stride, ...;
+     * returns the summed latency. Hit and miss counts, resident set
+     * and recency order end up exactly as after the equivalent
+     * sequence of translate() calls, but a range that touches no
+     * resident page costs O(entries) instead of O(steps).
+     */
+    sim::Tick translateRange(Addr first, std::uint64_t steps,
+                             std::uint64_t stride);
+
     void flush();
 
     std::uint64_t hitCount() const
@@ -56,10 +65,8 @@ class Tlb : public sim::SimObject
 
   private:
     TlbConfig cfg;
-    /** LRU list of resident page numbers, most recent at front. */
-    std::list<std::uint64_t> lru;
-    std::unordered_map<std::uint64_t, std::list<std::uint64_t>::iterator>
-        where;
+    /** Resident page numbers, most recent first; at most `entries`. */
+    std::vector<std::uint64_t> lru;
 
     sim::Scalar statHits;
     sim::Scalar statMisses;

@@ -39,9 +39,16 @@ class IntervalResource
         while (!busy.empty() && busy.begin()->second <= now)
             busy.erase(busy.begin());
 
-        // Earliest-gap placement.
+        // Earliest-gap placement. Busy intervals are disjoint and
+        // sorted by start, so their ends are sorted too: every interval
+        // before the last one starting at or before `at` ends by `at`,
+        // and the scan can begin there.
+        auto first = busy.upper_bound(at);
+        if (first != busy.begin() && std::prev(first)->second > at)
+            --first;
         Tick start = at;
-        for (const auto &[s, e] : busy) {
+        for (auto it = first; it != busy.end(); ++it) {
+            auto [s, e] = *it;
             if (e <= start)
                 continue;
             if (s >= start + duration)

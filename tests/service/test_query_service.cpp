@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "parallel/thread_pool.hh"
 #include "service/query_service.hh"
@@ -150,6 +151,61 @@ TEST(QueryService, FaultFreeRunAccountsEveryRequest)
     EXPECT_EQ(r.batchesFailed, 0u);
     EXPECT_EQ(r.batchesRetried, 0u);
 }
+
+/**
+ * Golden timing: one short stream per mapping on the default scale
+ * and a fixed arrival seed; 700 req/s overloads OnChipOnly, so its
+ * stream also sheds and degrades. The expected values predate the
+ * range TLB translation and the bounded interval scan (DESIGN.md
+ * §4l); a host-speed change to the simulator must leave them exact.
+ */
+struct GoldenStream
+{
+    core::Mapping mapping;
+    double rateQps;
+    sim::Tick p50, p99;
+    std::uint64_t completed;
+    sim::Tick finalTick;
+    double tlbMisses;
+    sim::Tick hostDramBusy;
+};
+
+class TimingGolden : public ::testing::TestWithParam<GoldenStream>
+{
+};
+
+TEST_P(TimingGolden, StreamMatchesRecordedSchedule)
+{
+    const GoldenStream &g = GetParam();
+    ServiceConfig cfg = baseConfig(200, g.rateQps);
+    cfg.arrival.seed = 501;
+
+    core::ReachSystem sys;
+    QueryService svc(sys, cbir::ScaleConfig{}, g.mapping, cfg);
+    ServiceResult r = svc.run();
+
+    EXPECT_EQ(r.p50, g.p50);
+    EXPECT_EQ(r.p99, g.p99);
+    EXPECT_EQ(r.completed, g.completed);
+    EXPECT_EQ(sys.simulator().now(), g.finalTick);
+    const sim::Stat *misses = sys.simulator().stats().find("accTlb.misses");
+    ASSERT_NE(misses, nullptr);
+    EXPECT_EQ(misses->value(), g.tlbMisses);
+    EXPECT_EQ(sys.hostDramLink().busyTicks(), g.hostDramBusy);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Streams, TimingGolden,
+    ::testing::Values(
+        GoldenStream{core::Mapping::OnChipOnly, 700, 235'009'781'781,
+                     273'129'858'518, 145, 479'971'202'123, 1'243'200,
+                     147'375'095'008},
+        GoldenStream{core::Mapping::Reach, 1200, 39'811'562'521,
+                     44'746'225'760, 200, 196'622'401'499, 0,
+                     506'518'000}),
+    [](const ::testing::TestParamInfo<GoldenStream> &info) {
+        return std::string(core::mappingName(info.param.mapping));
+    });
 
 TEST(QueryService, LowRateClosesPartialBatchesOnTimeout)
 {

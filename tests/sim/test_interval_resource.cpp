@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <vector>
 
 #include "sim/interval_resource.hh"
@@ -116,3 +117,78 @@ TEST_P(IntervalProperty, NoOverlapsEver)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IntervalProperty,
                          ::testing::Range(0, 8));
+
+namespace
+{
+
+/** The allocator as first written: every gap scan starts at begin(). */
+class BeginScanReference
+{
+  public:
+    Tick
+    reserve(Tick duration, Tick at, Tick now)
+    {
+        if (duration == 0)
+            return at;
+        while (!busy.empty() && busy.begin()->second <= now)
+            busy.erase(busy.begin());
+        Tick start = at;
+        for (const auto &[s, e] : busy) {
+            if (e <= start)
+                continue;
+            if (s >= start + duration)
+                break;
+            start = std::max(start, e);
+        }
+        Tick merged_start = start;
+        Tick merged_end = start + duration;
+        auto next = busy.lower_bound(merged_start);
+        if (next != busy.begin()) {
+            auto prev = std::prev(next);
+            if (prev->second == merged_start) {
+                merged_start = prev->first;
+                busy.erase(prev);
+                next = busy.lower_bound(merged_start);
+            }
+        }
+        if (next != busy.end() && next->first == merged_end) {
+            merged_end = next->second;
+            busy.erase(next);
+        }
+        busy.emplace(merged_start, merged_end);
+        lastEnd = std::max(lastEnd, start + duration);
+        return start;
+    }
+
+    Tick freeAt() const { return lastEnd; }
+    std::size_t pendingIntervals() const { return busy.size(); }
+
+  private:
+    std::map<Tick, Tick> busy;
+    Tick lastEnd = 0;
+};
+
+} // namespace
+
+TEST_P(IntervalProperty, MatchesBeginScanReference)
+{
+    IntervalResource r;
+    BeginScanReference ref;
+    Rng rng(static_cast<std::uint64_t>(GetParam()) * 97 + 3);
+
+    Tick now = 0;
+    for (int i = 0; i < 12'000; ++i) {
+        now += rng.nextUInt(40);
+        Tick dur = rng.nextUInt(4) == 0 ? 0 : 1 + rng.nextUInt(60);
+        // Requests land in the past, at now, and up to far ahead, so
+        // gaps open in front of later reservations.
+        Tick at = now + rng.nextUInt(3000);
+        if (at >= 500 && rng.nextUInt(5) == 0)
+            at -= 500;
+        ASSERT_EQ(r.reserve(dur, at, now), ref.reserve(dur, at, now))
+            << "reservation " << i;
+        ASSERT_EQ(r.freeAt(), ref.freeAt()) << "reservation " << i;
+        ASSERT_EQ(r.pendingIntervals(), ref.pendingIntervals())
+            << "reservation " << i;
+    }
+}
