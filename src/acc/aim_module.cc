@@ -4,23 +4,12 @@ namespace reach::acc
 {
 
 AimModule::AimModule(sim::Simulator &sim, const std::string &name,
-                     mem::Dimm &dimm, noc::Link *aimbus)
+                     mem::Dimm &dimm)
     : Accelerator(sim, name, Level::NearMem),
       attachedDimm(dimm),
-      bus(aimbus),
-      statLocal(name + ".fwdLocal", "responses routed to local acc"),
-      statRemote(name + ".fwdRemote", "responses routed over AIMbus"),
       statHandovers(name + ".handovers", "DIMM ownership handovers")
 {
-    registerStat(statLocal);
-    registerStat(statRemote);
     registerStat(statHandovers);
-}
-
-sim::Tick
-AimModule::deliverCommand(sim::Tick at)
-{
-    return at + commandLatency;
 }
 
 void

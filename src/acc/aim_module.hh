@@ -4,15 +4,12 @@
  * accelerator sitting between one DRAM DIMM and the memory network
  * (paper §II-B, Fig. 3).
  *
- * The module adds, on top of the generic Accelerator engine:
- *  - DIMM ownership handover: while a kernel runs, the host memory
- *    controller must not touch the DIMM; the module runs a
- *    closed-row policy so every bank is precharged at handback;
- *  - a configuration filter that receives kernel-launch commands
- *    over the memory channel;
- *  - a memory access filter that routes data to the local
- *    accelerator, a remote module via the AIMbus, or back to the
- *    host.
+ * The module adds DIMM ownership handover on top of the generic
+ * Accelerator engine: while a kernel runs, the host memory controller
+ * must not touch the DIMM, and the module runs a closed-row policy so
+ * every bank is precharged at handback. Kernel-launch commands are
+ * charged by the GAM (GamConfig::commandLatency); data moves over
+ * the links the system wires as this module's paths.
  */
 
 #ifndef REACH_ACC_AIM_MODULE_HH
@@ -20,7 +17,6 @@
 
 #include "acc/accelerator.hh"
 #include "mem/dimm.hh"
-#include "noc/link.hh"
 
 namespace reach::acc
 {
@@ -28,46 +24,18 @@ namespace reach::acc
 class AimModule : public Accelerator
 {
   public:
-    /**
-     * @param dimm    The DIMM this module interposes.
-     * @param aimbus  Shared inter-DIMM bus (may be null if absent).
-     */
+    /** @param dimm The DIMM this module interposes. */
     AimModule(sim::Simulator &sim, const std::string &name,
-              mem::Dimm &dimm, noc::Link *aimbus);
+              mem::Dimm &dimm);
 
     mem::Dimm &dimm() { return attachedDimm; }
-    noc::Link *aimBus() { return bus; }
-
-    /**
-     * Deliver a kernel-launch command through the configuration
-     * filter; returns the tick the command is accepted.
-     */
-    sim::Tick deliverCommand(sim::Tick at);
-
-    /** Counts for the three access-filter directions. */
-    std::uint64_t forwardsLocal() const
-    {
-        return static_cast<std::uint64_t>(statLocal.value());
-    }
-    std::uint64_t forwardsRemote() const
-    {
-        return static_cast<std::uint64_t>(statRemote.value());
-    }
-
-    void noteLocalForward() { ++statLocal; }
-    void noteRemoteForward() { ++statRemote; }
 
     void onTaskStart(sim::Tick at) override;
     void onTaskEnd(sim::Tick at) override;
 
   private:
     mem::Dimm &attachedDimm;
-    noc::Link *bus;
-    /** Config-filter decode latency for ACC command packets. */
-    sim::Tick commandLatency = 50'000; // 50 ns
 
-    sim::Scalar statLocal;
-    sim::Scalar statRemote;
     sim::Scalar statHandovers;
 };
 

@@ -4,14 +4,9 @@ namespace reach::acc
 {
 
 NsModule::NsModule(sim::Simulator &sim, const std::string &name,
-                   storage::Ssd &ssd, const NsConfig &config)
-    : Accelerator(sim, name, Level::NearStor),
-      attachedSsd(ssd),
-      cfg(config),
-      statPassThrough(name + ".passThrough",
-                      "host IO requests passed through")
+                   storage::Ssd &ssd, const NsConfig &cfg)
+    : Accelerator(sim, name, Level::NearStor), attachedSsd(ssd)
 {
-    registerStat(statPassThrough);
     enableParamBuffer(cfg.dramBufferBytes, cfg.dramBufferBandwidth);
 }
 
@@ -19,13 +14,6 @@ NsModule::NsModule(sim::Simulator &sim, const std::string &name,
                    storage::Ssd &ssd)
     : NsModule(sim, name, ssd, NsConfig{})
 {
-}
-
-sim::Tick
-NsModule::passThrough(sim::Tick at)
-{
-    ++statPassThrough;
-    return at + cfg.passThroughLatency;
 }
 
 } // namespace reach::acc

@@ -4,9 +4,10 @@
  * NVMe SSD over a local PCIe link, with a private 1 GB DRAM buffer
  * that caches accelerator parameters (paper §II-C, Fig. 4).
  *
- * Host IO requests aimed at the disk pass through with minimal
- * overhead (the pass-through logic); accelerator commands are
- * filtered off to the engine.
+ * The module adds, on top of the generic Accelerator engine, only
+ * that parameter buffer. Its input streams from its own drive; host
+ * IO to the disk is modelled by the SSD's host-side link, not by a
+ * pass-through stage in this module.
  */
 
 #ifndef REACH_ACC_NS_MODULE_HH
@@ -26,8 +27,6 @@ class NsModule : public Accelerator
         std::uint64_t dramBufferBytes = std::uint64_t(1) << 30;
         /** Private DRAM buffer bandwidth, bytes/s. */
         double dramBufferBandwidth = 19.2e9;
-        /** Pass-through added latency for host IO. */
-        sim::Tick passThroughLatency = 300; // 0.3 ns
     };
 
     NsModule(sim::Simulator &sim, const std::string &name,
@@ -39,22 +38,8 @@ class NsModule : public Accelerator
 
     storage::Ssd &ssd() { return attachedSsd; }
 
-    /**
-     * A host IO request passing through to the disk; returns the
-     * tick the request reaches the SSD.
-     */
-    sim::Tick passThrough(sim::Tick at);
-
-    std::uint64_t passThroughCount() const
-    {
-        return static_cast<std::uint64_t>(statPassThrough.value());
-    }
-
   private:
     storage::Ssd &attachedSsd;
-    NsConfig cfg;
-
-    sim::Scalar statPassThrough;
 };
 
 } // namespace reach::acc

@@ -9,6 +9,27 @@
 namespace reach::core
 {
 
+namespace
+{
+
+/** Host DRAM region: cache-line interleaved over the host DIMMs. */
+constexpr std::uint64_t hostRegionBytes = std::uint64_t(16) << 30;
+/** AIM regions are tile-granular so each tile lives in one DIMM. */
+constexpr std::uint64_t aimTileBytes = std::uint64_t(1) << 20;
+/** The host core's parameter buffer: its 2 MiB shared L2. */
+constexpr std::uint64_t hostCoreParamBufferBytes = std::uint64_t(2) << 20;
+
+/** Bytes each of @p units DIMMs holds of a @p size region. */
+std::uint64_t
+bytesPerDimm(std::uint64_t size, std::uint64_t units,
+             std::uint64_t interleave)
+{
+    std::uint64_t blocks = (size + interleave - 1) / interleave;
+    return (blocks + units - 1) / units * interleave;
+}
+
+} // namespace
+
 ReachSystem::ReachSystem(const SystemConfig &config) : cfg(config)
 {
     if (cfg.numChannels == 0)
@@ -36,6 +57,25 @@ ReachSystem::ReachSystem(const SystemConfig &config) : cfg(config)
     }
     if (cfg.hostDramStreamBw < 0)
         sim::fatal("hostDramStreamBw must be >= 0 (0 = calibrate)");
+    // The DIMM geometry must hold the host and AIM regions even
+    // though only the AIM DIMMs are built (DESIGN.md §4m).
+    if (cfg.dram.rowBytes == 0 ||
+        cfg.dram.rowBytes % mem::cacheLineBytes != 0)
+        sim::fatal("DIMM row size must be a multiple of the line size");
+    if (bytesPerDimm(hostRegionBytes, cfg.hostDimms,
+                     mem::cacheLineBytes) > cfg.dram.capacityBytes) {
+        sim::fatal("the ", hostRegionBytes, " B host region exceeds "
+                   "the capacity of ", cfg.hostDimms, " host DIMMs");
+    }
+    if (cfg.numAimModules > 0) {
+        if (cfg.aimRegionBytes == 0)
+            sim::fatal("aimRegionBytes must be positive");
+        if (bytesPerDimm(cfg.aimRegionBytes, 1, aimTileBytes) >
+            cfg.dram.capacityBytes) {
+            sim::fatal("aimRegionBytes (", cfg.aimRegionBytes,
+                       ") exceeds the capacity of an AIM DIMM");
+        }
+    }
     cfg.faultPlan.validate();
 
     buildMemory();
@@ -49,30 +89,6 @@ ReachSystem::ReachSystem(const SystemConfig &config) : cfg(config)
 void
 ReachSystem::buildMemory()
 {
-    // DIMM slots: host DIMMs first, then one slot per AIM module,
-    // spread evenly across channels.
-    std::uint32_t total_dimms = cfg.hostDimms + cfg.numAimModules;
-    std::uint32_t per_channel =
-        (total_dimms + cfg.numChannels - 1) / cfg.numChannels;
-    per_channel = std::max<std::uint32_t>(per_channel, 1);
-
-    mem::MemorySystemConfig mcfg;
-    mcfg.numChannels = cfg.numChannels;
-    mcfg.dimmsPerChannel = per_channel;
-    mcfg.dimmTimings = cfg.dram;
-    memSys = std::make_unique<mem::MemorySystem>(sim, "mem", mcfg);
-
-    // Host region: cache-line interleave across the host DIMMs.
-    std::vector<mem::DimmRef> host_units;
-    for (std::uint32_t i = 0; i < cfg.hostDimms; ++i) {
-        host_units.push_back(
-            {i % cfg.numChannels, i / cfg.numChannels});
-    }
-    memSys->addRegion("host", std::uint64_t(16) << 30, host_units,
-                      mem::cacheLineBytes);
-
-    cache = std::make_unique<mem::Cache>(sim, "llc", *memSys,
-                                         cfg.cache);
     tlb = std::make_unique<mem::Tlb>(sim, "accTlb", cfg.tlb);
 
     // Calibrate the host streaming bandwidth from the detailed model
@@ -150,14 +166,13 @@ ReachSystem::buildAccelerators()
     cpuCore->setInputPath(acc::Path{}.via(*hostDram).via(*cachePort));
     cpuCore->setOutputPath(acc::Path{}.via(*cachePort));
     cpuCore->setParamPath(acc::Path{}.via(*hostDram).via(*cachePort));
-    cpuCore->enableParamBuffer(cfg.cache.sizeBytes, cfg.cacheLinkBw);
+    cpuCore->enableParamBuffer(hostCoreParamBufferBytes, cfg.cacheLinkBw);
 
-    // Near-memory AIM modules: one per extra DIMM slot after the
-    // host DIMMs, in channel-round-robin slot order.
+    // Near-memory AIM modules, each interposing its own DIMM.
     for (std::uint32_t i = 0; i < cfg.numAimModules; ++i) {
-        std::uint32_t slot = cfg.hostDimms + i;
-        mem::DimmRef ref{slot % cfg.numChannels,
-                         slot / cfg.numChannels};
+        std::string name = "aim" + std::to_string(i);
+        aimDimms.push_back(
+            std::make_unique<mem::Dimm>(sim, name + ".dimm", cfg.dram));
 
         noc::LinkConfig local;
         local.bandwidth = cfg.aimUsesHbm ? cfg.aimHbmBw
@@ -168,19 +183,13 @@ ReachSystem::buildAccelerators()
             sim, "aimLocal" + std::to_string(i), local));
 
         auto module = std::make_unique<acc::AimModule>(
-            sim, "aim" + std::to_string(i), memSys->dimmAt(ref),
-            aimBus.get());
+            sim, name, *aimDimms.back());
         module->setInputPath(acc::Path{}.via(*aimLocal.back()));
         module->setOutputPath(acc::Path{}.via(*aimLocal.back()));
         module->setParamPath(acc::Path{}.via(*aimLocal.back()));
         // The module's parameters stay in its DIMM.
         module->enableParamBuffer(cfg.aimRegionBytes, local.bandwidth);
         aims.push_back(std::move(module));
-
-        // Tile-granular region so each tile lives in one DIMM.
-        memSys->addRegion("aimRegion" + std::to_string(i),
-                          cfg.aimRegionBytes, {ref},
-                          std::uint64_t(1) << 20);
     }
 
     // Near-storage modules: one per SSD.
@@ -220,8 +229,7 @@ ReachSystem::wireGam()
     gamUnit->buffers().setCapacity(
         acc::Level::NearStor,
         std::uint64_t(cfg.numSsds) * cfg.ssd.capacityBytes);
-    gamUnit->buffers().setCapacity(acc::Level::Cpu,
-                                   std::uint64_t(16) << 30);
+    gamUnit->buffers().setCapacity(acc::Level::Cpu, hostRegionBytes);
 
     if (onChipAcc)
         onChipId = gamUnit->addAccelerator(*onChipAcc);
@@ -392,8 +400,16 @@ ReachSystem::registerEnergy()
     for (auto &n : nss)
         energy.addAccelerator(*n);
 
-    energy.addCache(*cache);
-    energy.addMemorySystem(*memSys);
+    // DRAM background power covers every DIMM slot: host DIMMs then
+    // one per AIM module, spread evenly across the channels, so a
+    // partly filled last row of slots draws power too (DESIGN.md
+    // §4m).
+    std::uint32_t slots_per_channel =
+        (cfg.hostDimms + cfg.numAimModules + cfg.numChannels - 1) /
+        cfg.numChannels;
+    double ranks = static_cast<double>(cfg.numChannels) *
+                   slots_per_channel * cfg.dram.ranksPerDimm;
+    energy.addDramBackground(ranks, cfg.dram.backgroundPowerW);
     for (auto &s : ssds)
         energy.addSsd(*s);
 

@@ -1,10 +1,15 @@
 /**
  * @file
- * The assembled ReACH machine (paper Fig. 1/2): simulator, DDR4
- * memory system with host and AIM regions, shared LLC + accelerator
- * TLB, SSD array, interconnect fabric, the three accelerator levels,
- * the GAM wired with inter-level transfer paths, and the energy
- * model.
+ * The assembled ReACH machine (paper Fig. 1/2): simulator,
+ * accelerator TLB, SSD array, interconnect fabric, the three
+ * accelerator levels, the GAM wired with inter-level transfer paths,
+ * and the energy model.
+ *
+ * The machine builds only what a request reaches. Host DRAM, LLC and
+ * writeback traffic are reservations on bulk links (hostDramBulk,
+ * cachePort) whose host-DRAM bandwidth is calibrated once from the
+ * detailed DDR4 model; the only DIMMs built are the AIM modules' own,
+ * for the ownership handover (DESIGN.md §4m).
  */
 
 #ifndef REACH_CORE_REACH_SYSTEM_HH
@@ -20,8 +25,7 @@
 #include "energy/energy_model.hh"
 #include "fault/fault.hh"
 #include "gam/gam.hh"
-#include "mem/cache.hh"
-#include "mem/memory_system.hh"
+#include "mem/dimm.hh"
 #include "mem/tlb.hh"
 #include "noc/link.hh"
 #include "sim/simulator.hh"
@@ -39,8 +43,6 @@ class ReachSystem
 
     sim::Simulator &simulator() { return sim; }
     gam::Gam &gam() { return *gamUnit; }
-    mem::MemorySystem &memory() { return *memSys; }
-    mem::Cache &llc() { return *cache; }
 
     /** On-chip accelerator; fatal() if the config disabled it. */
     acc::Accelerator &onChip();
@@ -134,8 +136,6 @@ class ReachSystem
 
     std::unique_ptr<fault::FaultInjector> faultInj;
 
-    std::unique_ptr<mem::MemorySystem> memSys;
-    std::unique_ptr<mem::Cache> cache;
     std::unique_ptr<mem::Tlb> tlb;
 
     std::vector<std::unique_ptr<storage::Ssd>> ssds;
@@ -152,6 +152,8 @@ class ReachSystem
 
     std::unique_ptr<acc::Accelerator> onChipAcc;
     std::unique_ptr<acc::Accelerator> cpuCore;
+    /** One DIMM per AIM module; declared first so it outlives it. */
+    std::vector<std::unique_ptr<mem::Dimm>> aimDimms;
     std::vector<std::unique_ptr<acc::AimModule>> aims;
     std::vector<std::unique_ptr<acc::NsModule>> nss;
 

@@ -11,7 +11,6 @@
 
 #include "fault/fault.hh"
 #include "gam/gam.hh"
-#include "mem/cache.hh"
 #include "mem/dram_timings.hh"
 #include "mem/tlb.hh"
 #include "storage/ssd.hh"
@@ -34,7 +33,6 @@ struct SystemConfig
     bool hasOnChipAcc = true;
 
     mem::DramTimings dram{};
-    mem::CacheConfig cache{};
     mem::TlbConfig tlb{};
     storage::SsdConfig ssd{};
     gam::GamConfig gam{};
@@ -98,9 +96,6 @@ struct SystemConfig
     double nmGatherBw = 4.0e9;
     /** A near-storage module gathering from its own flash. */
     double nsGatherBw = 8.0e9;
-
-    /** Partial-reconfiguration delay (paper charges zero). */
-    sim::Tick reconfigDelay = 0;
 
     /** Per-AIM-DIMM capacity share of near-memory regions. */
     std::uint64_t aimRegionBytes = std::uint64_t(4) << 30;

@@ -85,19 +85,8 @@ EnergyModel::measure(sim::Tick horizon) const
     for (const auto *a : accs)
         out[Component::Acc] += a->energyJoules(horizon);
 
-    for (const auto *c : caches)
-        out[Component::Cache] += c->dynamicEnergyPj() * 1e-12;
-
-    double horizon_s = sim::secondsFromTicks(horizon);
-    for (const auto *m : memSystems) {
-        out[Component::Dram] += m->dramDynamicEnergyPj() * 1e-12;
-        double ranks = static_cast<double>(m->numChannels()) *
-                       m->dimmsPerChannel() *
-                       m->config().dimmTimings.ranksPerDimm;
-        out[Component::Dram] +=
-            ranks * m->config().dimmTimings.backgroundPowerW *
-            horizon_s;
-    }
+    out[Component::Dram] +=
+        dramBackgroundW * sim::secondsFromTicks(horizon);
 
     for (const auto *s : ssds)
         out[Component::Ssd] += s->energyJoules(horizon);

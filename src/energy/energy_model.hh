@@ -8,7 +8,9 @@
  * (interconnect), then multiplies by activity from simulation. We do
  * the same: hardware components expose activity counters, and the
  * EnergyModel rolls them up into the six component classes the
- * paper's Figure 8 / Figure 13 use.
+ * paper's Figure 8 / Figure 13 use. Cache and DRAM dynamic energy are
+ * per-byte rates on the links that carry that traffic; DRAM also
+ * draws a constant per-rank background power.
  */
 
 #ifndef REACH_ENERGY_ENERGY_MODEL_HH
@@ -22,8 +24,6 @@
 
 #include "acc/accelerator.hh"
 #include "gam/gam.hh"
-#include "mem/cache.hh"
-#include "mem/memory_system.hh"
 #include "noc/link.hh"
 #include "storage/ssd.hh"
 
@@ -91,10 +91,13 @@ class EnergyModel
     {
         accs.push_back(&a);
     }
-    void addCache(const mem::Cache &c) { caches.push_back(&c); }
-    void addMemorySystem(const mem::MemorySystem &m)
+    /**
+     * Register DRAM background power: @p ranks ranks drawing
+     * @p wattsPerRank each over the whole measured interval.
+     */
+    void addDramBackground(double ranks, double wattsPerRank)
     {
-        memSystems.push_back(&m);
+        dramBackgroundW += ranks * wattsPerRank;
     }
     void addSsd(const storage::Ssd &s) { ssds.push_back(&s); }
 
@@ -118,8 +121,8 @@ class EnergyModel
   private:
     BulkEnergyRates rates;
     std::vector<const acc::Accelerator *> accs;
-    std::vector<const mem::Cache *> caches;
-    std::vector<const mem::MemorySystem *> memSystems;
+    /** Summed DRAM background power (W). */
+    double dramBackgroundW = 0;
     std::vector<const storage::Ssd *> ssds;
     std::vector<const gam::Gam *> gams;
     std::vector<std::pair<const noc::Link *, Component>> links;

@@ -117,16 +117,6 @@ MemorySystem::locate(Addr addr) const
 }
 
 bool
-MemorySystem::contains(Addr addr) const
-{
-    for (const auto &r : regions) {
-        if (addr >= r.base && addr < r.base + r.size)
-            return true;
-    }
-    return false;
-}
-
-bool
 MemorySystem::access(const MemRequest &req)
 {
     Target t = resolve(req.addr);

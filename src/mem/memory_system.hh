@@ -83,9 +83,6 @@ class MemorySystem : public sim::SimObject
     /** Which DIMM a physical address maps to (for DMA targeting). */
     DimmRef locate(Addr addr) const;
 
-    /** True when @p addr falls inside some region. */
-    bool contains(Addr addr) const;
-
     MemController &controller(std::uint32_t ch)
     {
         return *ctrls.at(ch);

@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests for the AIM near-memory module: DIMM ownership
- * handover, closed-row handback invariant, and command filtering.
+ * handover, closed-row handback invariant, and the near-memory
+ * power column.
  */
 
 #include <gtest/gtest.h>
@@ -26,16 +27,11 @@ struct AimFixture : ::testing::Test
         t.tREFI = 1'000'000'000;
         dimm = std::make_unique<mem::Dimm>(sim, "dimm", t);
 
-        noc::LinkConfig bc;
-        bc.bandwidth = 12.8e9;
-        bus = std::make_unique<noc::Link>(sim, "aimbus", bc);
-
         noc::LinkConfig lc;
         lc.bandwidth = 18e9;
         local = std::make_unique<noc::Link>(sim, "local", lc);
 
-        aim = std::make_unique<AimModule>(sim, "aim", *dimm,
-                                          bus.get());
+        aim = std::make_unique<AimModule>(sim, "aim", *dimm);
         aim->setInputPath(Path{}.via(*local));
         aim->setOutputPath(Path{}.via(*local));
         aim->configure(findKernel("GeMM-ZCU9"));
@@ -43,7 +39,7 @@ struct AimFixture : ::testing::Test
 
     sim::Simulator sim;
     std::unique_ptr<mem::Dimm> dimm;
-    std::unique_ptr<noc::Link> bus, local;
+    std::unique_ptr<noc::Link> local;
     std::unique_ptr<AimModule> aim;
 };
 
@@ -98,21 +94,6 @@ TEST_F(AimFixture, HandoverCountTracksTasks)
     auto *handovers = sim.stats().find("aim.handovers");
     ASSERT_NE(handovers, nullptr);
     EXPECT_DOUBLE_EQ(handovers->value(), 2.0);
-}
-
-TEST_F(AimFixture, CommandFilterAddsLatency)
-{
-    sim::Tick t = aim->deliverCommand(1000);
-    EXPECT_GT(t, 1000u);
-}
-
-TEST_F(AimFixture, AccessFilterCounters)
-{
-    aim->noteLocalForward();
-    aim->noteLocalForward();
-    aim->noteRemoteForward();
-    EXPECT_EQ(aim->forwardsLocal(), 2u);
-    EXPECT_EQ(aim->forwardsRemote(), 1u);
 }
 
 TEST_F(AimFixture, NearMemPowerColumnUsed)

@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the near-storage module: parameter DRAM buffer
- * reuse, pass-through, and the NS power column.
+ * reuse, SSD-sourced input, and the NS power column.
  */
 
 #include <gtest/gtest.h>
@@ -80,13 +80,6 @@ TEST_F(NsFixture, InputStreamsFromSsd)
     ns->execute(w);
     sim.run();
     EXPECT_EQ(ssd->bytesRead(), std::uint64_t(8) << 20);
-}
-
-TEST_F(NsFixture, PassThroughCountsAndDelays)
-{
-    sim::Tick t = ns->passThrough(5000);
-    EXPECT_GT(t, 5000u);
-    EXPECT_EQ(ns->passThroughCount(), 1u);
 }
 
 TEST_F(NsFixture, NearStoragePowerColumnUsed)

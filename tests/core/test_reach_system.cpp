@@ -29,9 +29,6 @@ TEST(ReachSystem, TableTwoTopology)
     EXPECT_TRUE(sys.hasOnChip());
     EXPECT_EQ(sys.numAims(), 4u);
     EXPECT_EQ(sys.numNs(), 4u);
-    EXPECT_EQ(sys.memory().numChannels(), 2u);
-    // 4 host + 4 AIM DIMMs over 2 channels.
-    EXPECT_EQ(sys.memory().dimmsPerChannel(), 4u);
 }
 
 TEST(ReachSystem, GamKnowsAllAccelerators)
@@ -79,8 +76,6 @@ TEST(ReachSystem, ScaledInstanceCounts)
     ReachSystem sys(cfg);
     EXPECT_EQ(sys.numAims(), 16u);
     EXPECT_EQ(sys.numNs(), 16u);
-    // 4 host + 16 AIM DIMMs over 2 channels = 10 per channel.
-    EXPECT_EQ(sys.memory().dimmsPerChannel(), 10u);
 }
 
 TEST(ReachSystem, AimModulesAttachToDistinctDimms)
@@ -179,6 +174,58 @@ TEST(ReachSystem, ConfigValidation)
     EXPECT_THROW(ReachSystem{bad3}, sim::SimFatal);
 }
 
+TEST(ReachSystem, RejectsEmptyAimRegion)
+{
+    SystemConfig cfg;
+    cfg.aimRegionBytes = 0;
+    EXPECT_THROW(ReachSystem{cfg}, sim::SimFatal);
+
+    // Without AIM modules there is no AIM region to size.
+    cfg.numAimModules = 0;
+    cfg.hostDramStreamBw = 20e9;
+    EXPECT_NO_THROW(ReachSystem{cfg});
+}
+
+TEST(ReachSystem, RejectsAimRegionLargerThanItsDimm)
+{
+    SystemConfig cfg;
+    cfg.hostDramStreamBw = 20e9;
+    cfg.dram.capacityBytes = std::uint64_t(16) << 30;
+    // One byte over 16 GiB rounds up to one more 1 MiB tile.
+    cfg.aimRegionBytes = cfg.dram.capacityBytes + 1;
+    EXPECT_THROW(ReachSystem{cfg}, sim::SimFatal);
+
+    cfg.aimRegionBytes = cfg.dram.capacityBytes;
+    EXPECT_NO_THROW(ReachSystem{cfg});
+}
+
+TEST(ReachSystem, RejectsHostRegionLargerThanHostDimms)
+{
+    // 16 GiB of host region over four 2 GiB DIMMs does not fit.
+    SystemConfig cfg;
+    cfg.hostDramStreamBw = 20e9;
+    cfg.aimRegionBytes = std::uint64_t(1) << 30;
+    cfg.dram.capacityBytes = std::uint64_t(2) << 30;
+    EXPECT_THROW(ReachSystem{cfg}, sim::SimFatal);
+
+    cfg.dram.capacityBytes = std::uint64_t(4) << 30;
+    EXPECT_NO_THROW(ReachSystem{cfg});
+}
+
+TEST(ReachSystem, RejectsRowSizeOffTheLineGrid)
+{
+    // No AIM DIMM is built and calibration is skipped, so only the
+    // system's own check sees the DRAM geometry.
+    SystemConfig cfg;
+    cfg.numAimModules = 0;
+    cfg.hostDramStreamBw = 20e9;
+    cfg.dram.rowBytes = 8192 + 32;
+    EXPECT_THROW(ReachSystem{cfg}, sim::SimFatal);
+
+    cfg.dram.rowBytes = 0;
+    EXPECT_THROW(ReachSystem{cfg}, sim::SimFatal);
+}
+
 TEST(ReachSystem, TaskObserverSeesEveryCompletion)
 {
     ReachSystem sys{SystemConfig{}};
@@ -215,26 +262,4 @@ TEST(ReachSystem, TaskObserverSeesEveryCompletion)
     // observation strictly after finish (status round trip).
     EXPECT_EQ(events[0].observed, events[0].finished);
     EXPECT_GT(events[1].observed, events[1].finished);
-}
-
-TEST(ReachSystem, HostTrafficProceedsDuringAimOwnership)
-{
-    // Memory-space isolation (paper §III-B): the host region and the
-    // AIM regions live on different DIMMs, so CPU-side cache traffic
-    // flows while every AIM module owns its DIMM.
-    ReachSystem sys{SystemConfig{}};
-    for (std::uint32_t i = 0; i < sys.numAims(); ++i)
-        sys.aim(i).dimm().setAccOwned(true);
-
-    int done = 0;
-    for (int i = 0; i < 32; ++i) {
-        sys.llc().access(static_cast<mem::Addr>(i) * 4096, false,
-                         mem::Requester::Cpu,
-                         [&done](sim::Tick) { ++done; });
-    }
-    sys.simulator().run();
-    EXPECT_EQ(done, 32);
-
-    for (std::uint32_t i = 0; i < sys.numAims(); ++i)
-        sys.aim(i).dimm().setAccOwned(false);
 }

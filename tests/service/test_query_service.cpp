@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <sstream>
 #include <string>
 
@@ -153,21 +154,52 @@ TEST(QueryService, FaultFreeRunAccountsEveryRequest)
 }
 
 /**
- * Golden timing: one short stream per mapping on the default scale
- * and a fixed arrival seed; 700 req/s overloads OnChipOnly, so its
- * stream also sheds and degrades. The expected values predate the
- * range TLB translation and the bounded interval scan (DESIGN.md
- * §4l); a host-speed change to the simulator must leave them exact.
+ * Golden timing and energy: one short stream per mapping on the
+ * default scale and a fixed arrival seed; 700 req/s overloads
+ * OnChipOnly, so its stream also sheds and degrades. The expected
+ * values predate the range TLB translation and the bounded interval
+ * scan (DESIGN.md §4l) and the machine that builds only what a
+ * request reaches (§4m); a host-speed or machinery change to the
+ * simulator must leave them exact.
  */
 struct GoldenStream
 {
     core::Mapping mapping;
+    /** AIM module count; 0 keeps the Table II default. */
+    std::uint32_t numAimModules;
     double rateQps;
     sim::Tick p50, p99;
     std::uint64_t completed;
     sim::Tick finalTick;
     double tlbMisses;
     sim::Tick hostDramBusy;
+};
+
+/** measureEnergy() after a golden stream, per component, in J. */
+struct GoldenEnergy
+{
+    core::Mapping mapping;
+    std::uint32_t numAimModules;
+    std::array<double, static_cast<std::size_t>(
+                           energy::Component::NumComponents)>
+        joules;
+};
+
+/**
+ * Three AIM modules on two channels charge DRAM background power
+ * for eight DIMM slots although only seven DIMMs exist (DESIGN.md
+ * §4m); the row pins that rounding.
+ */
+const GoldenEnergy goldenEnergy[] = {
+    {core::Mapping::OnChipOnly, 0,
+     {2.77550547395942, 0.020668314952, 2.6743255001596,
+      10.874492429276, 0.050992953279999996, 0.17850957823999997}},
+    {core::Mapping::Reach, 0,
+     {6.1479069567241993, 0.00043104271999999997, 1.2206229125947998,
+      6.6168025285400001, 0.056677787199999996, 0.18827361280000005}},
+    {core::Mapping::Reach, 3,
+     {6.0376615817211983, 0.00043104271999999997, 1.2262267350691998,
+      6.6383891249799998, 0.056675251999999995, 0.18827361280000005}},
 };
 
 class TimingGolden : public ::testing::TestWithParam<GoldenStream>
@@ -180,7 +212,10 @@ TEST_P(TimingGolden, StreamMatchesRecordedSchedule)
     ServiceConfig cfg = baseConfig(200, g.rateQps);
     cfg.arrival.seed = 501;
 
-    core::ReachSystem sys;
+    core::SystemConfig sys_cfg;
+    if (g.numAimModules > 0)
+        sys_cfg.numAimModules = g.numAimModules;
+    core::ReachSystem sys(sys_cfg);
     QueryService svc(sys, cbir::ScaleConfig{}, g.mapping, cfg);
     ServiceResult r = svc.run();
 
@@ -192,19 +227,38 @@ TEST_P(TimingGolden, StreamMatchesRecordedSchedule)
     ASSERT_NE(misses, nullptr);
     EXPECT_EQ(misses->value(), g.tlbMisses);
     EXPECT_EQ(sys.hostDramLink().busyTicks(), g.hostDramBusy);
+
+    const GoldenEnergy *e = nullptr;
+    for (const GoldenEnergy &row : goldenEnergy)
+        if (row.mapping == g.mapping &&
+            row.numAimModules == g.numAimModules)
+            e = &row;
+    ASSERT_NE(e, nullptr);
+    energy::EnergyBreakdown measured = sys.measureEnergy();
+    for (std::size_t c = 0; c < e->joules.size(); ++c) {
+        EXPECT_EQ(measured.joules[c], e->joules[c])
+            << energy::componentName(static_cast<energy::Component>(c));
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Streams, TimingGolden,
     ::testing::Values(
-        GoldenStream{core::Mapping::OnChipOnly, 700, 235'009'781'781,
+        GoldenStream{core::Mapping::OnChipOnly, 0, 700, 235'009'781'781,
                      273'129'858'518, 145, 479'971'202'123, 1'243'200,
                      147'375'095'008},
-        GoldenStream{core::Mapping::Reach, 1200, 39'811'562'521,
+        GoldenStream{core::Mapping::Reach, 0, 1200, 39'811'562'521,
                      44'746'225'760, 200, 196'622'401'499, 0,
-                     506'518'000}),
+                     506'518'000},
+        GoldenStream{core::Mapping::Reach, 3, 1200, 39'904'607'386,
+                     44'719'006'997, 200, 197'701'731'321, 0,
+                     499'415'280}),
     [](const ::testing::TestParamInfo<GoldenStream> &info) {
-        return std::string(core::mappingName(info.param.mapping));
+        std::string name = core::mappingName(info.param.mapping);
+        if (info.param.numAimModules > 0)
+            name += "_" + std::to_string(info.param.numAimModules) +
+                    "aims";
+        return name;
     });
 
 TEST(QueryService, LowRateClosesPartialBatchesOnTimeout)
