@@ -668,16 +668,12 @@ BENCHMARK(BM_EventQueue);
  * The simulator's own host speed: one open-loop OnChipOnly stream of
  * 300 requests at 400 req/s through QueryService on the default
  * scale. Items processed = simulated requests, so the rate is
- * simulated requests per host second. The host-DRAM bandwidth is
- * calibrated once outside the timed region and passed in, which
- * leaves the simulated schedule unchanged.
+ * simulated requests per host second.
  */
 void
 BM_OnChipServiceStream(benchmark::State &state)
 {
     sim::setQuiet(true);
-    core::SystemConfig sys_cfg;
-    sys_cfg.hostDramStreamBw = core::ReachSystem{}.hostDramBandwidth();
     service::ServiceConfig cfg;
     cfg.totalRequests = 300;
     cfg.arrival.ratePerSec = 400;
@@ -685,7 +681,7 @@ BM_OnChipServiceStream(benchmark::State &state)
     cfg.formTimeout = 4 * sim::tickPerMs;
     cfg.initialLatencyEstimate = 10 * sim::tickPerMs;
     for (auto _ : state) {
-        core::ReachSystem sys(sys_cfg);
+        core::ReachSystem sys;
         service::QueryService svc(sys, cbir::ScaleConfig{},
                                   core::Mapping::OnChipOnly, cfg);
         service::ServiceResult r = svc.run();

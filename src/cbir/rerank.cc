@@ -1,6 +1,7 @@
 #include "rerank.hh"
 
 #include <algorithm>
+#include <span>
 #include <unordered_set>
 
 #include "sim/logging.hh"
@@ -108,19 +109,6 @@ scoreCandidates(const simd::Kernels &k, std::span<const float> query,
 }
 
 /**
- * ||x||^2 per database row: reuse the index's precomputed norms when
- * they cover this database, otherwise one shared rowNormsSq pass.
- */
-std::vector<float>
-databaseNorms(const Matrix &database, const std::vector<float> *pre,
-              const parallel::ParallelConfig &par)
-{
-    if (pre != nullptr && pre->size() == database.rows())
-        return *pre;
-    return rowNormsSq(database, par);
-}
-
-/**
  * Compressed scoring of one query: build the ADC table once, then
  * scan each short-listed cluster's contiguous code block with the
  * batched gather kernel — M table lookups per candidate instead of a
@@ -222,15 +210,20 @@ rerank(const Matrix &queries, const Matrix &database,
     }
 
     const simd::Kernels &k = simd::kernels(cfg.parallel.simd);
-    // Pure-ADC runs never touch the float rows, so skip the norm
-    // precompute (it is a full database pass when the index lacks
-    // cached norms).
+    // ||x||^2 per database row: a view of the index's precomputed
+    // norms when they cover this database, otherwise one shared
+    // rowNormsSq pass. Pure-ADC runs never touch the float rows, so
+    // they skip both.
     const bool needs_exact = !cfg.usePq || cfg.pqRefine > 0;
-    const std::vector<float> norms =
-        needs_exact
-            ? databaseNorms(database, &index.vectorNormsSq(),
-                            cfg.parallel)
-            : std::vector<float>{};
+    std::vector<float> computed_norms;
+    std::span<const float> norms;
+    if (needs_exact) {
+        norms = index.vectorNormsSq();
+        if (norms.size() != database.rows()) {
+            computed_norms = rowNormsSq(database, cfg.parallel);
+            norms = computed_norms;
+        }
+    }
 
     RerankResults out(queries.rows());
     parallel::parallelFor(
@@ -326,8 +319,7 @@ bruteForce(const Matrix &queries, const Matrix &database, std::size_t k,
            const parallel::ParallelConfig &par)
 {
     const simd::Kernels &kern = simd::kernels(par.simd);
-    const std::vector<float> norms =
-        databaseNorms(database, nullptr, par);
+    const std::vector<float> norms = rowNormsSq(database, par);
     const std::size_t d = database.cols();
     const std::size_t n = database.rows();
 

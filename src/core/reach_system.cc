@@ -92,7 +92,9 @@ ReachSystem::buildMemory()
     tlb = std::make_unique<mem::Tlb>(sim, "accTlb", cfg.tlb);
 
     // Calibrate the host streaming bandwidth from the detailed model
-    // unless the config pins it.
+    // unless the config pins it. The calibration is memoized per
+    // process, so only the first machine with these timings and this
+    // topology pays for the replay; later machines reuse its bits.
     if (cfg.hostDramStreamBw > 0) {
         hostDramBw = cfg.hostDramStreamBw;
     } else {

@@ -32,6 +32,12 @@ struct StreamCalibration
  * Stream @p bytes of sequential reads through a memory system with
  * the given channel/DIMM topology and measure sustained bandwidth.
  *
+ * The replay is deterministic, so its result is memoized for the
+ * process: the first call with a given (timings, channels,
+ * dimms_per_channel, bytes, interleave_bytes) runs the cycle-level
+ * model, and every later call with equal arguments returns the same
+ * bits. Thread-safe; concurrent first calls run the replay once.
+ *
  * @param interleave_bytes Region interleave granularity.
  */
 StreamCalibration measureStreamingBandwidth(

@@ -68,6 +68,9 @@ struct DramTimings
         // 8 bytes per bus clock edge, two edges per cycle.
         return 16.0 / (static_cast<double>(tCK) * 1e-12);
     }
+
+    /** Field-wise; the streaming-calibration memo keys on it. */
+    bool operator==(const DramTimings &) const = default;
 };
 
 /** Timing mode for a bank after each column access. */

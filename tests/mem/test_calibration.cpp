@@ -3,11 +3,18 @@
  * Tests of the streaming-bandwidth calibration: the detailed DDR4
  * model should sustain a large fraction of pin bandwidth for
  * sequential streams, scale with channel count, and the calibration
- * result feeds the bulk-link model.
+ * result feeds the bulk-link model. The process-wide memo must key on
+ * every input and return the first result's bits on every hit.
  */
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <functional>
+#include <thread>
+#include <vector>
+
+#include "core/reach_system.hh"
 #include "mem/calibration.hh"
 
 using namespace reach;
@@ -68,4 +75,101 @@ TEST(Calibration, MatchesTableTwoExpectations)
         measureStreamingBandwidth(quietRefresh(), 2, 2, 8 << 20);
     EXPECT_GT(cal.bandwidth, 30e9);
     EXPECT_LT(cal.bandwidth, 38.4e9);
+}
+
+namespace
+{
+
+/** The arguments of one measureStreamingBandwidth call. */
+struct CalibrationArgs
+{
+    DramTimings timings;
+    std::uint32_t channels = 2;
+    std::uint32_t dimmsPerChannel = 2;
+    std::uint64_t bytes = 256 << 10;
+    std::uint64_t interleaveBytes = 4096;
+
+    StreamCalibration
+    measure() const
+    {
+        return measureStreamingBandwidth(timings, channels,
+                                         dimmsPerChannel, bytes,
+                                         interleaveBytes);
+    }
+};
+
+bool
+sameBits(const StreamCalibration &a, const StreamCalibration &b)
+{
+    return a.bandwidth == b.bandwidth && a.efficiency == b.efficiency;
+}
+
+} // namespace
+
+TEST(CalibrationMemo, RepeatedCallsReturnIdenticalBits)
+{
+    const CalibrationArgs args;
+    const StreamCalibration first = args.measure();
+    for (int i = 0; i < 3; ++i)
+        EXPECT_TRUE(sameBits(args.measure(), first));
+}
+
+TEST(CalibrationMemo, KeysOnEveryInput)
+{
+    // Each variant differs from the base in exactly one input and
+    // calibrates differently (a faster tCK moves only the efficiency),
+    // so a key that ignored that input would hand one config the
+    // other's result.
+    const std::array<std::function<void(CalibrationArgs &)>, 6>
+        variants = {
+            [](CalibrationArgs &a) { a.timings.tCK = 625; },
+            [](CalibrationArgs &a) { a.timings.tREFI = 1'950'000; },
+            [](CalibrationArgs &a) { a.channels = 1; },
+            [](CalibrationArgs &a) { a.dimmsPerChannel = 1; },
+            [](CalibrationArgs &a) { a.bytes = 512 << 10; },
+            [](CalibrationArgs &a) { a.interleaveBytes = 64; },
+        };
+    for (std::size_t v = 0; v < variants.size(); ++v) {
+        SCOPED_TRACE(v);
+        const CalibrationArgs a;
+        CalibrationArgs b;
+        variants[v](b);
+        const StreamCalibration first_a = a.measure();
+        const StreamCalibration first_b = b.measure();
+        ASSERT_FALSE(sameBits(first_a, first_b))
+            << "the variant got the base's result";
+        for (int round = 0; round < 2; ++round) {
+            EXPECT_TRUE(sameBits(a.measure(), first_a));
+            EXPECT_TRUE(sameBits(b.measure(), first_b));
+        }
+    }
+}
+
+TEST(CalibrationMemo, ConcurrentFirstCallsAgree)
+{
+    // The default machine's host topology, calibrated from four
+    // threads at once.
+    const core::SystemConfig cfg;
+    std::array<StreamCalibration, 4> got;
+    std::vector<std::thread> threads;
+    for (StreamCalibration &out : got) {
+        threads.emplace_back([&cfg, &out] {
+            out = measureStreamingBandwidth(
+                cfg.dram, cfg.numChannels,
+                cfg.hostDimms / cfg.numChannels);
+        });
+    }
+    for (std::thread &t : threads)
+        t.join();
+    for (const StreamCalibration &cal : got)
+        EXPECT_TRUE(sameBits(cal, got[0]));
+}
+
+TEST(CalibrationMemo, DefaultMachineBandwidthIsPinned)
+{
+    // Recorded from the cycle-level replay before it was memoized
+    // (34600776647.815147 B/s); a change to the DDR4 model or a memo
+    // key bug moves it.
+    EXPECT_EQ(core::ReachSystem{}.hostDramBandwidth(),
+              0x1.01cbbe78fa15bp+35);
 }
