@@ -26,23 +26,18 @@ runNsFeatureExtraction(bool reuse, std::uint32_t batches)
     cbir::CbirWorkloadModel model{cbir::ScaleConfig{}};
     core::StagePlacement where{acc::Level::NearStor, sys.numNs()};
 
-    std::uint32_t done = 0;
     std::uint32_t task_seq = 0;
-    for (std::uint32_t b = 0; b < batches; ++b) {
+    sys.runJobs(batches, batches, [&](std::uint32_t) {
         gam::JobDesc job;
         job.label = "fe-ns";
-        job.onComplete = [&done](sim::Tick) { ++done; };
         core::addStageTasks(job, Stage::FeatureExtraction, where, {},
                             sys, model);
         if (!reuse) {
             for (gam::TaskDesc &t : job.tasks)
                 t.work.paramKey = "vgg16#" + std::to_string(task_seq++);
         }
-        sys.gam().submitJob(std::move(job));
-    }
-    sys.runUntilIdle();
-    if (done != batches)
-        sim::panic("incomplete ablation run");
+        return job;
+    });
     return sim::secondsFromTicks(sys.simulator().now());
 }
 

@@ -40,16 +40,19 @@ main()
               ScanMapping::NearData}) {
             core::ReachSystem sys{core::SystemConfig{}};
             AnalyticsDeployment dep(sys, scale, m);
-            QueryRunResult r = dep.run(3);
+            core::RunResult r = dep.run(3);
+            double qps = r.throughputBatchesPerSec();
             if (m == ScanMapping::HostOnly)
-                base_qps = r.queriesPerSec();
+                base_qps = qps;
+            double scan_rate = static_cast<double>(scale.tableBytes) *
+                               r.batches /
+                               sim::secondsFromTicks(r.makespan);
 
             std::printf("%-12s %12.2f %18.1f %18.1f   (%.1fx)\n",
-                        scanMappingName(m), r.queriesPerSec(),
-                        r.scanBandwidth(scale.tableBytes) / 1e9,
+                        scanMappingName(m), qps, scan_rate / 1e9,
                         static_cast<double>(sys.gam().bytesMoved()) /
                             3 / 1e6,
-                        r.queriesPerSec() / base_qps);
+                        qps / base_qps);
         }
     }
 

@@ -57,17 +57,12 @@ runStage(Stage stage, acc::Level level, std::uint32_t instances,
     cbir::CbirWorkloadModel model(scale);
     core::StagePlacement where{level, sys.instancesAt(level)};
 
-    std::uint32_t done = 0;
-    for (std::uint32_t b = 0; b < batches; ++b) {
+    sys.runJobs(batches, batches, [&](std::uint32_t) {
         gam::JobDesc job;
         job.label = "stage-batch";
-        job.onComplete = [&done](sim::Tick) { ++done; };
         core::addStageTasks(job, stage, where, {}, sys, model);
-        sys.gam().submitJob(std::move(job));
-    }
-    sys.runUntilIdle();
-    if (done != batches)
-        sim::panic("stage run incomplete: ", done, "/", batches);
+        return job;
+    });
 
     StageResult res;
     res.runtimeSeconds =

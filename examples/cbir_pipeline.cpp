@@ -148,14 +148,14 @@ timingDemo()
         knn1.execute(0);
     }
 
-    sim::Tick end = rt.run();
-    double seconds = sim::secondsFromTicks(end);
+    RunResult run = rt.run();
+    double seconds = sim::secondsFromTicks(run.makespan);
     auto energy = rt.system().measureEnergy();
 
     std::printf("%u batches (%u queries each) in %.2f ms -> %.1f "
                 "queries/s\n",
-                rt.jobsSubmitted(), scale.batchSize, seconds * 1e3,
-                rt.jobsSubmitted() * scale.batchSize / seconds);
+                run.batches, scale.batchSize, seconds * 1e3,
+                run.batches * scale.batchSize / seconds);
     std::printf("energy: %.2f J total\n", energy.total());
     std::printf("GAM moved only %.2f MB between levels (query "
                 "vectors + short-lists, paper §IV-B)\n",

@@ -92,14 +92,14 @@ main()
         reduce.execute(0);
     }
 
-    sim::Tick end = rt.run();
-    double seconds = sim::secondsFromTicks(end);
+    RunResult run = rt.run();
+    double seconds = sim::secondsFromTicks(run.makespan);
     auto energy = rt.system().measureEnergy();
 
     std::printf("scanned %.0f GB x %u queries in %.1f ms of "
                 "simulated time (%.1f GB/s effective)\n",
                 static_cast<double>(table_bytes) / 1e9,
-                rt.jobsSubmitted(), seconds * 1e3,
+                run.batches, seconds * 1e3,
                 3.0 * table_bytes / 1e9 / seconds);
     std::printf("energy: %.1f J; GAM DMA between levels: %.1f MB "
                 "(vs %.0f GB scanned in place)\n",

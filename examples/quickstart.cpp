@@ -44,12 +44,12 @@ main()
     while (rt.enqueue(input))
         cnn.execute(/*threadId=*/0);
 
-    sim::Tick end = rt.run();
+    RunResult run = rt.run();
 
     std::printf("quickstart: ran %u query batches in %.2f ms of "
                 "simulated time\n",
-                rt.jobsSubmitted(),
-                sim::secondsFromTicks(end) * 1e3);
+                run.batches,
+                sim::secondsFromTicks(run.makespan) * 1e3);
 
     auto energy = rt.system().measureEnergy();
     std::printf("energy: %.2f J total, %.2f J in the accelerator\n",

@@ -1,7 +1,5 @@
 #include "deployment.hh"
 
-#include <memory>
-
 #include "sim/logging.hh"
 
 namespace reach::analytics
@@ -36,13 +34,11 @@ AnalyticsDeployment::AnalyticsDeployment(core::ReachSystem &system,
 }
 
 gam::JobDesc
-AnalyticsDeployment::makeQueryJob(std::uint32_t index,
-                                  std::function<void(sim::Tick)> done)
+AnalyticsDeployment::makeQueryJob(std::uint32_t index)
 {
     gam::JobDesc job;
     job.label = std::string(scanMappingName(map)) + "-q" +
                 std::to_string(index);
-    job.onComplete = std::move(done);
 
     std::uint64_t filtered = static_cast<std::uint64_t>(
         static_cast<double>(scale.tableBytes) * scale.selectivity);
@@ -137,36 +133,11 @@ AnalyticsDeployment::makeQueryJob(std::uint32_t index,
     return job;
 }
 
-QueryRunResult
+core::RunResult
 AnalyticsDeployment::run(std::uint32_t queries)
 {
-    if (queries == 0)
-        return {};
-
-    auto &sim = sys.simulator();
-    sim::Tick t0 = sim.now();
-
-    std::uint32_t done = 0;
-    sim::Tick latency_sum = 0;
-    sim::Tick last = 0;
-    for (std::uint32_t q = 0; q < queries; ++q) {
-        sim::Tick submitted = sim.now();
-        sys.gam().submitJob(makeQueryJob(
-            q, [&, submitted](sim::Tick at) {
-                ++done;
-                latency_sum += at - submitted;
-                last = at;
-            }));
-    }
-    sim.runUntil([&] { return done >= queries; });
-    if (done < queries)
-        sim::panic("analytics run incomplete: ", done, "/", queries);
-
-    QueryRunResult res;
-    res.queries = queries;
-    res.makespan = last - t0;
-    res.meanLatency = latency_sum / queries;
-    return res;
+    return sys.runJobs(queries, queries,
+                       [this](std::uint32_t q) { return makeQueryJob(q); });
 }
 
 } // namespace reach::analytics

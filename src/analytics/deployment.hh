@@ -47,31 +47,6 @@ enum class ScanMapping
 
 const char *scanMappingName(ScanMapping m);
 
-struct QueryRunResult
-{
-    std::uint32_t queries = 0;
-    sim::Tick makespan = 0;
-    sim::Tick meanLatency = 0;
-
-    double
-    queriesPerSec() const
-    {
-        return makespan == 0
-                   ? 0
-                   : queries / sim::secondsFromTicks(makespan);
-    }
-
-    /** Effective scan rate over the full table. */
-    double
-    scanBandwidth(std::uint64_t table_bytes) const
-    {
-        return makespan == 0 ? 0
-                             : static_cast<double>(table_bytes) *
-                                   queries /
-                                   sim::secondsFromTicks(makespan);
-    }
-};
-
 class AnalyticsDeployment
 {
   public:
@@ -80,11 +55,14 @@ class AnalyticsDeployment
                         ScanMapping mapping);
 
     /** Build the job for one query. */
-    gam::JobDesc makeQueryJob(std::uint32_t index,
-                              std::function<void(sim::Tick)> done);
+    gam::JobDesc makeQueryJob(std::uint32_t index);
 
-    /** Submit and simulate @p queries back-to-back queries. */
-    QueryRunResult run(std::uint32_t queries);
+    /**
+     * Submit @p queries queries at once through
+     * ReachSystem::runJobs and simulate until each completed or
+     * failed.
+     */
+    core::RunResult run(std::uint32_t queries);
 
   private:
     core::ReachSystem &sys;

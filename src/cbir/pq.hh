@@ -147,7 +147,7 @@ class PqCodebook
      * build is one fixed loop over a component-major centroid copy
      * (vectorized across centroids, not within the short subspace),
      * so the table bits do not depend on the SIMD backend choice —
-     * combined with the bitwise adcAccum/adcBatch contract, a
+     * combined with the bitwise adcBatch contract, a
      * pure-ADC rerank returns identical bits on every backend.
      * Entries match l2sq on the subspace pair up to fp contraction.
      */

@@ -1,8 +1,5 @@
 #include "cbir_deployment.hh"
 
-#include <algorithm>
-#include <memory>
-
 #include "sim/logging.hh"
 
 namespace reach::core
@@ -256,84 +253,11 @@ CbirDeployment::makeBatchJob(std::uint32_t batch_index,
 RunResult
 CbirDeployment::run(std::uint32_t batches)
 {
-    if (batches == 0)
-        return {};
-
-    auto &sim = sys.simulator();
-    sim::Tick t0 = sim.now();
-
-    struct RunState
-    {
-        std::uint32_t submitted = 0;
-        std::uint32_t completed = 0;
-        std::uint32_t failed = 0;
-        /**
-         * 128-bit sum: an open-loop-length run (billions of batches
-         * at millisecond latencies) would overflow a 64-bit tick
-         * accumulator long before the tick counter itself wraps.
-         */
-        unsigned __int128 latencySum = 0;
-        sim::Tick latencyMax = 0;
-        sim::Tick lastDone = 0;
-    };
-    auto st = std::make_shared<RunState>();
-
-    // Closed-loop window: keeps the pipeline full without unbounded
-    // queueing (the runtime's stream depth).
-    constexpr std::uint32_t window = 4;
-
-    // Recursive submitter. The function captures itself weakly —
-    // outstanding completion callbacks hold the strong references,
-    // so the whole chain is freed once the run drains.
-    auto submit = std::make_shared<std::function<void()>>();
-    std::weak_ptr<std::function<void()>> weak_submit = submit;
-    *submit = [this, st, batches, weak_submit, &sim]() {
-        if (st->submitted >= batches)
-            return;
-        std::uint32_t idx = st->submitted++;
-        sim::Tick submitted_at = sim.now();
-        gam::JobDesc job = makeBatchJob(
-            idx,
-            [st, submitted_at,
-             submit = weak_submit.lock()](sim::Tick at) {
-                sim::Tick lat = at - submitted_at;
-                st->latencySum += lat;
-                st->latencyMax = std::max(st->latencyMax, lat);
-                st->lastDone = at;
-                ++st->completed;
-                (*submit)();
-            },
-            // A failed batch frees its window slot so the run still
-            // drains; the caller sees it in failedBatches.
-            [st, submit = weak_submit.lock()](sim::Tick at) {
-                st->lastDone = std::max(st->lastDone, at);
-                ++st->failed;
-                (*submit)();
-            });
-        sys.gam().submitJob(std::move(job));
-    };
-
-    for (std::uint32_t i = 0; i < window && i < batches; ++i)
-        (*submit)();
-
-    sim.runUntil([st, batches] {
-        return st->completed + st->failed >= batches;
+    // A window of four keeps the pipeline full without unbounded
+    // queueing (the runtime's default stream depth).
+    return sys.runJobs(batches, 4, [this](std::uint32_t i) {
+        return makeBatchJob(i, {}, {});
     });
-
-    if (st->completed + st->failed < batches)
-        sys.gam().reportWedge("CbirDeployment::run");
-
-    RunResult res;
-    res.batches = batches;
-    res.completedBatches = st->completed;
-    res.failedBatches = st->failed;
-    res.makespan = st->lastDone - t0;
-    res.meanLatency =
-        st->completed > 0
-            ? static_cast<sim::Tick>(st->latencySum / st->completed)
-            : 0;
-    res.maxLatency = st->latencyMax;
-    return res;
 }
 
 } // namespace reach::core

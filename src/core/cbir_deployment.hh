@@ -84,69 +84,6 @@ std::vector<std::size_t> addStageTasks(
     const std::vector<std::size_t> &upstream, ReachSystem &sys,
     const cbir::CbirWorkloadModel &model);
 
-/** Result of running a stream of query batches. */
-struct RunResult
-{
-    std::uint32_t batches = 0;
-    /** Batches that completed; the rest failed explicitly. */
-    std::uint32_t completedBatches = 0;
-    /** Batches the fault-recovery machinery gave up on. */
-    std::uint32_t failedBatches = 0;
-    sim::Tick makespan = 0;
-    /**
-     * Mean / max submit-to-complete latency, aggregated over
-     * completed batches only — a failed batch returns no result, so
-     * its (truncated) lifetime must not dilute the latency of the
-     * work that was actually delivered.
-     */
-    sim::Tick meanLatency = 0;
-    sim::Tick maxLatency = 0;
-
-    /** Fraction of batches that produced a result. */
-    double
-    completionFraction() const
-    {
-        if (batches == 0)
-            return 1.0;
-        return static_cast<double>(completedBatches) / batches;
-    }
-
-    /**
-     * Goodput: batches that actually produced a result per second.
-     * Failed batches burn machine time (it is in the makespan) but
-     * deliver nothing, so they do not count as throughput.
-     */
-    double
-    throughputBatchesPerSec() const
-    {
-        if (makespan == 0)
-            return 0;
-        return completedBatches / sim::secondsFromTicks(makespan);
-    }
-
-    /** Offered load: every submitted batch, failures included. */
-    double
-    offeredBatchesPerSec() const
-    {
-        if (makespan == 0)
-            return 0;
-        return batches / sim::secondsFromTicks(makespan);
-    }
-
-    /** Goodput in queries/s (completed batches only). */
-    double
-    queriesPerSec(std::uint32_t batch_size) const
-    {
-        return throughputBatchesPerSec() * batch_size;
-    }
-
-    double
-    offeredQueriesPerSec(std::uint32_t batch_size) const
-    {
-        return offeredBatchesPerSec() * batch_size;
-    }
-};
-
 class CbirDeployment
 {
   public:
@@ -171,11 +108,11 @@ class CbirDeployment
         std::function<void(sim::Tick)> on_failed = {});
 
     /**
-     * Submit @p batches jobs back-to-back and simulate to
-     * completion. Jobs pipeline through the GAM, so makespan reflects
-     * steady-state throughput. Under fault injection, batches whose
-     * recovery budget is exhausted count in failedBatches instead of
-     * hanging the run.
+     * Run @p batches batch jobs through ReachSystem::runJobs with
+     * four in flight. Jobs pipeline through the GAM, so makespan
+     * reflects steady-state throughput. Under fault injection,
+     * batches whose recovery budget is exhausted count in
+     * failedBatches instead of hanging the run.
      */
     RunResult run(std::uint32_t batches);
 

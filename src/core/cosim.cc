@@ -115,23 +115,13 @@ CoSimulation::processBatch(const cbir::Matrix &queries)
     CoSimBatch out;
     out.results = svc.query(queries);
 
-    // Charge one batch through the simulated machine.
-    auto &sim = sys->simulator();
-    sim::Tick submitted = sim.now();
-    sim::Tick done = 0;
-    bool failed = false;
-    sys->gam().submitJob(deployment->makeBatchJob(
-        batches, [&done](sim::Tick t) { done = t; },
-        [&done, &failed](sim::Tick t) {
-            done = t;
-            failed = true;
-        }));
-    sim.runUntil([&done] { return done != 0; });
-    if (done == 0)
-        sys->gam().reportWedge("CoSimulation::processBatch");
-
-    out.latency = done - submitted;
-    out.timingCompleted = !failed;
+    // Charge one batch through the simulated machine; a lone job's
+    // makespan is its latency, completed or failed.
+    RunResult run = sys->runJobs(1, 1, [this](std::uint32_t) {
+        return deployment->makeBatchJob(batches, {}, {});
+    });
+    out.latency = run.makespan;
+    out.timingCompleted = run.completedBatches == 1;
 
     double total = sys->measureEnergy().total();
     out.energyJoules = total - lastEnergy;

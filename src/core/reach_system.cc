@@ -437,17 +437,87 @@ ReachSystem::onChip()
     return *onChipAcc;
 }
 
-sim::Tick
-ReachSystem::runUntilIdle()
+RunResult
+ReachSystem::runJobs(std::uint32_t jobs, std::uint32_t window,
+                     std::function<gam::JobDesc(std::uint32_t)> make)
 {
-    sim::Tick t = sim.runUntil([this] { return gamUnit->idle(); });
+    if (jobs == 0)
+        return {};
+    if (window == 0)
+        sim::fatal("a closed-loop run needs a window of at least 1");
+
+    sim::Tick t0 = sim.now();
+
+    struct RunState
+    {
+        std::uint32_t submitted = 0;
+        std::uint32_t completed = 0;
+        std::uint32_t failed = 0;
+        /**
+         * 128-bit sum: an open-loop-length run (billions of batches
+         * at millisecond latencies) would overflow a 64-bit tick
+         * accumulator long before the tick counter itself wraps.
+         */
+        unsigned __int128 latencySum = 0;
+        sim::Tick latencyMax = 0;
+        sim::Tick lastDone = 0;
+    };
+    auto st = std::make_shared<RunState>();
+
+    // Recursive submitter. The function captures itself weakly —
+    // outstanding completion callbacks hold the strong references,
+    // so the whole chain is freed once the run drains.
+    auto submit = std::make_shared<std::function<void()>>();
+    std::weak_ptr<std::function<void()>> weak_submit = submit;
+    *submit = [this, st, jobs, weak_submit, make = std::move(make)]() {
+        if (st->submitted >= jobs)
+            return;
+        std::uint32_t idx = st->submitted++;
+        sim::Tick submitted_at = sim.now();
+        gam::JobDesc job = make(idx);
+        job.onComplete = [st, submitted_at,
+                          submit = weak_submit.lock()](sim::Tick at) {
+            sim::Tick lat = at - submitted_at;
+            st->latencySum += lat;
+            st->latencyMax = std::max(st->latencyMax, lat);
+            st->lastDone = at;
+            ++st->completed;
+            (*submit)();
+        };
+        // A failed job frees its window slot so the run still
+        // drains; the caller sees it in failedBatches.
+        job.onFailed = [st, submit = weak_submit.lock()](sim::Tick at) {
+            st->lastDone = std::max(st->lastDone, at);
+            ++st->failed;
+            (*submit)();
+        };
+        gamUnit->submitJob(std::move(job));
+    };
+
+    for (std::uint32_t i = 0; i < window && i < jobs; ++i)
+        (*submit)();
+
+    sim.runUntil(
+        [st, jobs] { return st->completed + st->failed >= jobs; });
+
     // runUntil() also returns when the event queue drains. If jobs
     // are still pending at that point the simulated system wedged —
     // fail loudly with the progress table instead of letting callers
     // see a silent partial result.
-    if (!gamUnit->idle())
-        gamUnit->reportWedge("ReachSystem::runUntilIdle");
-    return t;
+    if (st->completed + st->failed < jobs)
+        gamUnit->reportWedge("ReachSystem::runJobs");
+
+    RunResult res;
+    res.batches = jobs;
+    res.completedBatches = st->completed;
+    res.failedBatches = st->failed;
+    res.makespan = st->lastDone - t0;
+    res.meanLatency =
+        st->completed > 0
+            ? static_cast<sim::Tick>(st->latencySum / st->completed)
+            : 0;
+    res.maxLatency = st->latencyMax;
+    return res;
 }
 
 energy::EnergyBreakdown

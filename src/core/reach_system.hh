@@ -15,6 +15,8 @@
 #ifndef REACH_CORE_REACH_SYSTEM_HH
 #define REACH_CORE_REACH_SYSTEM_HH
 
+#include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -33,6 +35,73 @@
 
 namespace reach::core
 {
+
+/**
+ * Result of a closed-loop run (ReachSystem::runJobs). Each job is
+ * one batch: a CBIR query batch, an analytics query or one
+ * iteration of a runtime host loop.
+ */
+struct RunResult
+{
+    std::uint32_t batches = 0;
+    /** Batches that completed; the rest failed explicitly. */
+    std::uint32_t completedBatches = 0;
+    /** Batches the fault-recovery machinery gave up on. */
+    std::uint32_t failedBatches = 0;
+    sim::Tick makespan = 0;
+    /**
+     * Mean / max submit-to-complete latency, aggregated over
+     * completed batches only — a failed batch returns no result, so
+     * its (truncated) lifetime must not dilute the latency of the
+     * work that was actually delivered.
+     */
+    sim::Tick meanLatency = 0;
+    sim::Tick maxLatency = 0;
+
+    /** Fraction of batches that produced a result. */
+    double
+    completionFraction() const
+    {
+        if (batches == 0)
+            return 1.0;
+        return static_cast<double>(completedBatches) / batches;
+    }
+
+    /**
+     * Goodput: batches that actually produced a result per second.
+     * Failed batches burn machine time (it is in the makespan) but
+     * deliver nothing, so they do not count as throughput.
+     */
+    double
+    throughputBatchesPerSec() const
+    {
+        if (makespan == 0)
+            return 0;
+        return completedBatches / sim::secondsFromTicks(makespan);
+    }
+
+    /** Offered load: every submitted batch, failures included. */
+    double
+    offeredBatchesPerSec() const
+    {
+        if (makespan == 0)
+            return 0;
+        return batches / sim::secondsFromTicks(makespan);
+    }
+
+    /** Goodput in queries/s (completed batches only). */
+    double
+    queriesPerSec(std::uint32_t batch_size) const
+    {
+        return throughputBatchesPerSec() * batch_size;
+    }
+
+    double
+    offeredQueriesPerSec(std::uint32_t batch_size) const
+    {
+        return offeredBatchesPerSec() * batch_size;
+    }
+};
 
 class ReachSystem
 {
@@ -90,11 +159,16 @@ class ReachSystem
     double hostDramBandwidth() const { return hostDramBw; }
 
     /**
-     * Run the simulation until the GAM is idle (every job completed
-     * or explicitly failed). Panics with the dumped progress table if
-     * the event queue drains with jobs still pending.
+     * The closed-loop job driver: submit @p window jobs, then one more
+     * each time a job completes or fails, until @p jobs were submitted,
+     * and simulate until all of them ended. Job i is make(i), built
+     * when it is submitted; the driver sets its onComplete and
+     * onFailed. Latency runs from submission to completion, over
+     * completed jobs only. Panics with the GAM progress table if the
+     * event queue drains with jobs still pending.
      */
-    sim::Tick runUntilIdle();
+    RunResult runJobs(std::uint32_t jobs, std::uint32_t window,
+                      std::function<gam::JobDesc(std::uint32_t)> make);
 
     /** The fault injector, or null when the plan injects nothing. */
     fault::FaultInjector *faultInjector() { return faultInj.get(); }

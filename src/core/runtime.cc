@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <mutex>
+#include <utility>
 
 #include "cbir/vgg.hh"
 #include "sim/logging.hh"
@@ -251,20 +252,17 @@ ReachRuntime::doExecute(std::uint32_t acc_idx, std::uint32_t thread_id)
     if (!jobOpen) {
         currentJob = gam::JobDesc{};
         currentJob.threadId = thread_id;
-        currentJob.label = "job" + std::to_string(submitted);
+        currentJob.label = "job" + std::to_string(jobs.size());
         currentExecs.clear();
-        currentWindow = 0;
         jobOpen = true;
     }
 
     // Stream depth limits how many loop iterations may be in flight
-    // at once; the job's window is its tightest stream.
+    // at once; the run's window is the tightest stream.
     for (const auto &[idx, sh] : accs.at(acc_idx).streamArgs) {
         (void)idx;
         std::uint32_t d = streams[sh.id].depth;
-        currentWindow = currentWindow == 0
-                            ? d
-                            : std::min(currentWindow, d);
+        window = window == 0 ? d : std::min(window, d);
     }
 
     const RegisteredAcc &acc = accs.at(acc_idx);
@@ -393,58 +391,21 @@ ReachRuntime::flushJob()
         }
         currentJob.tasks.push_back(std::move(t));
     }
-    currentJob.onComplete = [this](sim::Tick) {
-        ++completed;
-        --inflight;
-        drainBacklog();
-    };
-    // A failed job still releases its stream-window credit; later
-    // iterations keep flowing and the host loop terminates.
-    currentJob.onFailed = [this](sim::Tick) {
-        ++failed;
-        --inflight;
-        drainBacklog();
-    };
-    std::uint32_t window = currentWindow == 0 ? 4 : currentWindow;
-    submitOrQueue(std::move(currentJob), window);
+    jobs.push_back(std::move(currentJob));
     jobOpen = false;
 }
 
-void
-ReachRuntime::submitOrQueue(gam::JobDesc &&job, std::uint32_t window)
-{
-    if (inflight < window) {
-        ++inflight;
-        ++submitted;
-        sys->gam().submitJob(std::move(job));
-    } else {
-        backlog.emplace_back(std::move(job), window);
-    }
-}
-
-void
-ReachRuntime::drainBacklog()
-{
-    while (!backlog.empty() && inflight < backlog.front().second) {
-        auto [job, window] = std::move(backlog.front());
-        backlog.pop_front();
-        ++inflight;
-        ++submitted;
-        sys->gam().submitJob(std::move(job));
-    }
-}
-
-sim::Tick
+RunResult
 ReachRuntime::run()
 {
     flushJob();
-    drainBacklog();
-    sim::Tick t = sys->simulator().runUntil([this] {
-        return sys->gam().idle() && backlog.empty();
-    });
-    if (!sys->gam().idle() || !backlog.empty())
-        sys->gam().reportWedge("ReachRuntime::run");
-    return t;
+    auto n = static_cast<std::uint32_t>(jobs.size());
+    std::uint32_t w = std::exchange(window, 0);
+    return sys->runJobs(
+        n, w == 0 ? 4 : w,
+        [recorded = std::exchange(jobs, {})](std::uint32_t i) mutable {
+            return std::move(recorded[i]);
+        });
 }
 
 } // namespace reach::core

@@ -21,7 +21,6 @@
 #define REACH_CORE_RUNTIME_HH
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <optional>
@@ -149,19 +148,13 @@ class ReachRuntime
     void endJob();
 
     /**
-     * Simulate until every submitted job completed or failed. Panics
-     * with the GAM progress table if the simulation wedges.
+     * Run the jobs the host loop recorded through
+     * ReachSystem::runJobs, with as many in flight as the tightest
+     * depth among the streams they touch (4 if they touch none), and
+     * simulate until each completed or failed. Panics with the GAM
+     * progress table if the simulation wedges.
      */
-    sim::Tick run();
-
-    std::uint32_t jobsSubmitted() const { return submitted; }
-    std::uint32_t jobsCompleted() const { return completed; }
-
-    /**
-     * Jobs that ended with an explicit failure (fault-recovery budget
-     * exhausted). Zero unless fault injection is enabled.
-     */
-    std::uint32_t jobsFailed() const { return failed; }
+    RunResult run();
 
   private:
     struct TemplateInfo
@@ -224,25 +217,17 @@ class ReachRuntime
     std::vector<BufferDesc> buffers;
     std::vector<StreamDesc> streams;
 
-    /** Submit a finished job or park it behind the stream window. */
-    void submitOrQueue(gam::JobDesc &&job, std::uint32_t window);
-    void drainBacklog();
-
     gam::JobDesc currentJob;
     std::vector<PendingExec> currentExecs;
-    /** Smallest depth among streams the current job touches. */
-    std::uint32_t currentWindow = 0;
     bool jobOpen = false;
 
-    /** Jobs waiting for stream credit (depth backpressure). */
-    std::deque<std::pair<gam::JobDesc, std::uint32_t>> backlog;
+    /** Jobs the host loop closed, in loop order, not yet run. */
+    std::vector<gam::JobDesc> jobs;
+    /** Smallest depth among streams the recorded jobs touch. */
+    std::uint32_t window = 0;
 
     std::uint32_t batchBudget = 1;
     std::uint32_t enqueued = 0;
-    std::uint32_t submitted = 0;
-    std::uint32_t completed = 0;
-    std::uint32_t failed = 0;
-    std::uint32_t inflight = 0;
 };
 
 } // namespace reach::core

@@ -17,12 +17,12 @@
 namespace reach::mem
 {
 
-/** All timing in ticks (ps); all energy in picojoules. */
+/**
+ * All timing in ticks (ps), with cycle counts of the 833 ps
+ * DDR4-2400 clock noted; all energy in picojoules.
+ */
 struct DramTimings
 {
-    /** Clock period; DDR4-2400 runs a 1200 MHz bus clock. */
-    sim::Tick tCK = 833;
-
     /** ACT to internal read/write delay. */
     sim::Tick tRCD = 13'320;       // 16 cycles
     /** Precharge latency. */
@@ -31,7 +31,11 @@ struct DramTimings
     sim::Tick tCL = 13'320;        // 16 cycles
     /** CAS write latency. */
     sim::Tick tCWL = 10'000;       // 12 cycles
-    /** Burst of 8 transfers on a DDR bus: 4 clock periods. */
+    /**
+     * Burst of 8 transfers on a DDR bus: 4 clock periods of the
+     * 1200 MHz DDR4-2400 bus clock. It sets the data-bus rate, so a
+     * speed grade is chosen here.
+     */
     sim::Tick tBL = 3'332;
     /** ACT to PRE minimum. */
     sim::Tick tRAS = 26'660;       // 32 cycles
@@ -61,12 +65,14 @@ struct DramTimings
     /** Background power per rank (W). */
     double backgroundPowerW = 0.65;
 
-    /** Peak data-bus bandwidth in bytes/second. */
+    /**
+     * Peak data-bus bandwidth in bytes/second: one 64-byte burst per
+     * tBL, the burst time the controller model replays.
+     */
     double
     peakBandwidth() const
     {
-        // 8 bytes per bus clock edge, two edges per cycle.
-        return 16.0 / (static_cast<double>(tCK) * 1e-12);
+        return 64.0 / (static_cast<double>(tBL) * 1e-12);
     }
 
     /** Field-wise; the streaming-calibration memo keys on it. */

@@ -182,7 +182,7 @@ namespace
 
 /**
  * The avx2 table for hosts (or tests) without F16C: every fp32/ADC
- * entry stays avx2, only the fp16 kernels drop to scalar. Built on
+ * entry stays avx2, only the fp16 kernel drops to scalar. Built on
  * first use with a one-line note so a missing 2.13x scan speedup is
  * explainable from the log.
  */
@@ -194,9 +194,8 @@ avx2NoF16cKernels()
                      "reach: CPU lacks F16C, fp16 shortlist kernels "
                      "fall back to scalar (avx2 otherwise)\n");
         Kernels patched = detail::avx2Kernels();
-        const Kernels &s = detail::scalarKernels();
-        patched.gemmNtF16 = s.gemmNtF16;
-        patched.shortlistScoreF16 = s.shortlistScoreF16;
+        patched.shortlistScoreF16 =
+            detail::scalarKernels().shortlistScoreF16;
         return patched;
     }();
     return k;

@@ -30,7 +30,7 @@ const Kernels &avx2Kernels();
 
 /**
  * Test hook: when @p disable is true, dispatch behaves as if the CPU
- * lacked F16C — the avx2 table hands out scalar fp16 kernels — even
+ * lacked F16C — the avx2 table hands out the scalar fp16 kernel — even
  * on hosts that have it. Lets the no-F16C fallback path run in unit
  * tests on any machine. Not thread-safe; call before spawning workers.
  */

@@ -26,8 +26,9 @@
 
 /**
  * The fp16 kernels additionally need F16C for VCVTPH2PS; the
- * dispatcher patches them back to scalar when the CPU lacks it, so
- * nothing else in this file depends on the extension.
+ * dispatcher patches the table's fp16 entry back to scalar when the
+ * CPU lacks it, so nothing else in this file depends on the
+ * extension.
  */
 #define REACH_AVX2_F16 __attribute__((target("avx2,fma,f16c")))
 
@@ -602,12 +603,11 @@ shortlistScoreF16Avx2(const float *a, const float *qn, std::size_t n,
 const Kernels &
 avx2Kernels()
 {
-    static const Kernels k{dotAvx2,       l2sqAvx2,
-                           normSqAvx2,    axpyAvx2,
-                           dotBatchAvx2,  dotIdxAvx2,
-                           gemmNtAvx2,    adcAccumAvx2,
-                           adcBatchAvx2,  adcBatch4Avx2,
-                           gemmNtF16Avx2, shortlistScoreAvx2,
+    static const Kernels k{dotAvx2,          l2sqAvx2,
+                           normSqAvx2,       axpyAvx2,
+                           dotBatchAvx2,     dotIdxAvx2,
+                           gemmNtAvx2,       adcBatchAvx2,
+                           adcBatch4Avx2,    shortlistScoreAvx2,
                            shortlistScoreF16Avx2};
     return k;
 }

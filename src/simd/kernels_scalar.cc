@@ -257,12 +257,11 @@ shortlistScoreF16Scalar(const float *a, const float *qn,
 const Kernels &
 scalarKernels()
 {
-    static const Kernels k{dotScalar,       l2sqScalar,
-                           normSqScalar,    axpyScalar,
-                           dotBatchScalar,  dotIdxScalar,
-                           gemmNtScalar,    adcAccumScalar,
-                           adcBatchScalar,  adcBatch4Scalar,
-                           gemmNtF16Scalar, shortlistScoreScalar,
+    static const Kernels k{dotScalar,          l2sqScalar,
+                           normSqScalar,       axpyScalar,
+                           dotBatchScalar,     dotIdxScalar,
+                           gemmNtScalar,       adcBatchScalar,
+                           adcBatch4Scalar,    shortlistScoreScalar,
                            shortlistScoreF16Scalar};
     return k;
 }

@@ -27,8 +27,8 @@
  *   normSq(a, d)              == dot(a, a, d)
  *   dotBatch(q, rows, ...)[r] == dot(q, rows + r*d, d)
  *   dotIdx(q, base, ids,..)[r]== dot(q, base + ids[r]*d, d)
- *   adcBatch(lut, st, codes,..)[r]
- *                             == adcAccum(lut, st, codes + r*m, m)
+ *   adcBatch(lut, st, codes, n, m)[r]
+ *                             == adcBatch(lut, st, codes + r*m, 1, m)
  *
  * The ADC kernels are stricter than the rest: the 8-bit gather sum
  * contains no multiplies, so both backends commit to one
@@ -37,8 +37,8 @@
  * an exact integer finished by one fused multiply-add. Either way
  * scalar/avx2 agree BITWISE, not just to tolerance.
  *
- * The fp16 kernels (gemmNtF16 / shortlistScoreF16) follow the ADC
- * model: both backends commit to one accumulation order — eight
+ * The fp16 kernel (shortlistScoreF16) follows the ADC model: both
+ * backends commit to one accumulation order — eight
  * fused-multiply-add lanes over d folded by the fixed hsum tree, an
  * fma tail, and an exact half -> float load conversion (software on
  * scalar, VCVTPH2PS on avx2; half.hh proves them identical) — so
@@ -177,18 +177,15 @@ struct Kernels
                    std::size_t m, std::size_t d, float *c,
                    std::size_t ldc);
     /**
-     * PQ asymmetric-distance accumulation over a table with @p stride
-     * floats per subspace row:
-     *   sum_s lut[s * stride + code[s]]  for s in [0, m).
+     * PQ asymmetric-distance accumulation of @p n codes over a table
+     * with @p stride floats per subspace row:
+     *   out[r] = sum_s lut[s * stride + codes[r*m + s]], s in [0, m).
      * Every code must be < stride (the codebook guarantees codes <
      * numCentroids() <= its lutStride()), so the kernel never reads
      * past a row's valid entries. Pure fp32 additions in the fixed
-     * order documented above, so the result is bitwise identical
-     * across backends.
+     * order documented above, so each row's sum is independent of n
+     * and bitwise identical across backends.
      */
-    float (*adcAccum)(const float *lut, std::size_t stride,
-                      const std::uint8_t *code, std::size_t m);
-    /** out[r] = adcAccum(lut, stride, codes + r*m, m), r in [0, n). */
     void (*adcBatch)(const float *lut, std::size_t stride,
                      const std::uint8_t *codes, std::size_t n,
                      std::size_t m, float *out);
@@ -211,18 +208,6 @@ struct Kernels
                       std::size_t m, float scale, float bias,
                       float *out);
     /**
-     * gemmNt over half-precision B: A is fp32 (n x d), B is packed
-     * IEEE binary16 (m x d u16, built by floatToHalfRne), C rows at
-     * stride @p ldc >= m, accumulated in fp32. Each C(i,j) is eight
-     * fma lanes over d (halves converted exactly to fp32 on load),
-     * the fixed hsum fold, then an fma tail — the same sequence on
-     * both backends, so scalar == avx2 BITWISE (see the header
-     * comment; half.hh carries the conversion proof).
-     */
-    void (*gemmNtF16)(const float *a, std::size_t n,
-                      const std::uint16_t *b, std::size_t m,
-                      std::size_t d, float *c, std::size_t ldc);
-    /**
      * Fused shortlist scoring over one (n x m) tile:
      *   out[i*ldo + j] = (qn[i] + cnorm[j]) - 2 * dot(A_i, B_j)
      * with the dot computed exactly as gemmNt computes it — for a
@@ -240,9 +225,15 @@ struct Kernels
                            std::size_t d, float *out,
                            std::size_t ldo);
     /**
-     * shortlistScore over half-precision centroids: the gemmNtF16
-     * accumulation followed by the same contraction-free epilogue.
-     * Like gemmNtF16, scalar == avx2 BITWISE.
+     * shortlistScore over half-precision centroids: B is packed IEEE
+     * binary16 (m x d u16, built by floatToHalfRne). Each dot is
+     * eight fma lanes over d (halves converted exactly to fp32 on
+     * load), the fixed hsum fold, then an fma tail — the same
+     * sequence on both backends — followed by the same
+     * contraction-free epilogue, so scalar == avx2 BITWISE (see the
+     * header comment; half.hh carries the conversion proof). With
+     * zero norms, out = 0 - (dot + dot) carries every bit of the dot
+     * except the sign of a zero.
      */
     void (*shortlistScoreF16)(const float *a, const float *qn,
                               std::size_t n, const std::uint16_t *b,
@@ -253,9 +244,9 @@ struct Kernels
 
 /**
  * Kernel table of a backend (valid for the process lifetime). The
- * avx2 table's fp16 entries additionally need the F16C extension
+ * avx2 table's fp16 entry additionally needs the F16C extension
  * (present on every AVX2 CPU, but hypervisors can mask it): when the
- * host reports avx2 without f16c, those two entries fall back to the
+ * host reports avx2 without f16c, that entry falls back to the
  * scalar implementations with a one-line stderr note and everything
  * else stays avx2 — REACH_SIMD=avx2 never faults on such a host.
  */

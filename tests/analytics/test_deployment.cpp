@@ -25,7 +25,7 @@ smallScale()
     return s;
 }
 
-QueryRunResult
+core::RunResult
 runMapping(ScanMapping m, std::uint32_t queries)
 {
     core::ReachSystem sys{core::SystemConfig{}};
@@ -64,12 +64,12 @@ TEST(AnalyticsDeployment, JobShapes)
     core::ReachSystem sys{core::SystemConfig{}};
     AnalyticsDeployment central(sys, smallScale(),
                                 ScanMapping::OnChip);
-    EXPECT_EQ(central.makeQueryJob(0, nullptr).tasks.size(), 2u);
+    EXPECT_EQ(central.makeQueryJob(0).tasks.size(), 2u);
 
     AnalyticsDeployment near(sys, smallScale(),
                              ScanMapping::NearData);
     // 4 scans + 4 aggregates + 1 merge.
-    auto job = near.makeQueryJob(0, nullptr);
+    auto job = near.makeQueryJob(0);
     EXPECT_EQ(job.tasks.size(), 9u);
     EXPECT_EQ(job.tasks.back().label, "merge");
     EXPECT_EQ(job.tasks.back().deps.size(), 4u);
@@ -79,34 +79,55 @@ TEST(AnalyticsDeployment, AllMappingsComplete)
 {
     for (ScanMapping m : {ScanMapping::HostOnly, ScanMapping::OnChip,
                           ScanMapping::NearData}) {
-        QueryRunResult r = runMapping(m, 2);
-        EXPECT_EQ(r.queries, 2u) << scanMappingName(m);
+        core::RunResult r = runMapping(m, 2);
+        EXPECT_EQ(r.completedBatches, 2u) << scanMappingName(m);
         EXPECT_GT(r.makespan, 0u) << scanMappingName(m);
     }
 }
 
 TEST(AnalyticsDeployment, NearDataScanBeatsCentralized)
 {
-    QueryRunResult onchip = runMapping(ScanMapping::OnChip, 2);
-    QueryRunResult near = runMapping(ScanMapping::NearData, 2);
+    core::RunResult onchip = runMapping(ScanMapping::OnChip, 2);
+    core::RunResult near = runMapping(ScanMapping::NearData, 2);
 
     // The centralized scan is capped by the ~12 GB/s host IO
     // interface; near-data scanning runs at the SSDs' aggregate
     // internal bandwidth.
-    EXPECT_GT(near.queriesPerSec(), 2.5 * onchip.queriesPerSec());
+    EXPECT_GT(near.throughputBatchesPerSec(),
+              2.5 * onchip.throughputBatchesPerSec());
 
-    double near_bw = near.scanBandwidth(smallScale().tableBytes);
-    EXPECT_GT(near_bw, 30e9); // ~4 x 12 GB/s local links
-    double central_bw =
-        onchip.scanBandwidth(smallScale().tableBytes);
-    EXPECT_LT(central_bw, 13e9);
+    // Whole-table scans per second, in B/s.
+    double table = static_cast<double>(smallScale().tableBytes);
+    EXPECT_GT(table * near.throughputBatchesPerSec(),
+              30e9); // ~4 x 12 GB/s local links
+    EXPECT_LT(table * onchip.throughputBatchesPerSec(), 13e9);
 }
 
 TEST(AnalyticsDeployment, OnChipBeatsHostSoftware)
 {
-    QueryRunResult host = runMapping(ScanMapping::HostOnly, 1);
-    QueryRunResult onchip = runMapping(ScanMapping::OnChip, 1);
-    EXPECT_GT(onchip.queriesPerSec(), host.queriesPerSec());
+    core::RunResult host = runMapping(ScanMapping::HostOnly, 1);
+    core::RunResult onchip = runMapping(ScanMapping::OnChip, 1);
+    EXPECT_GT(onchip.throughputBatchesPerSec(),
+              host.throughputBatchesPerSec());
+}
+
+TEST(AnalyticsDeployment, RecoveryBudgetExhaustionFailsQueries)
+{
+    // Every dispatch crashes: each query fails explicitly once its
+    // recovery budget is spent, and the run reports it. A lost scan
+    // attempt costs events in proportion to the table, so the table
+    // is kept small.
+    core::SystemConfig cfg;
+    cfg.faultPlan.accCrashProb = 1;
+    core::ReachSystem sys{cfg};
+    AnalyticsScale scale;
+    scale.tableBytes = std::uint64_t(256) << 20;
+    AnalyticsDeployment dep(sys, scale, ScanMapping::NearData);
+    core::RunResult r = dep.run(2);
+    EXPECT_EQ(r.batches, 2u);
+    EXPECT_EQ(r.failedBatches, 2u);
+    EXPECT_EQ(r.completedBatches, 0u);
+    EXPECT_EQ(r.throughputBatchesPerSec(), 0.0);
 }
 
 TEST(AnalyticsDeployment, OnlyFilteredRowsCrossToNearMemory)
@@ -144,7 +165,7 @@ TEST(AnalyticsIntegration, MeasuredSelectivityDrivesTheTimingModel)
 
     core::ReachSystem sys{core::SystemConfig{}};
     AnalyticsDeployment dep(sys, scale, ScanMapping::NearData);
-    QueryRunResult r = dep.run(1);
+    core::RunResult r = dep.run(1);
     EXPECT_GT(r.makespan, 0u);
 
     // GAM DMA carries roughly the filtered bytes.

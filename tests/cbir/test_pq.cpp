@@ -143,8 +143,9 @@ TEST(PqCodebook, AdcEqualsDistanceToDecodedVector)
         for (std::size_t r = 0; r < 50; ++r) {
             cb.encode(ds.vectors().row(r), code.data());
             cb.decode(code.data(), decoded);
-            float adc = k.adcAccum(lut.data(), cb.lutStride(),
-                                   code.data(), cb.numSubspaces());
+            float adc = -1.0f;
+            k.adcBatch(lut.data(), cb.lutStride(), code.data(), 1,
+                       cb.numSubspaces(), &adc);
             float ref = l2sq(queries.row(q),
                              std::span<const float>(decoded));
             EXPECT_NEAR(adc, ref, 1e-4f * (1.0f + ref))

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "core/reach_system.hh"
 #include "sim/logging.hh"
 
@@ -153,8 +156,7 @@ TEST(ReachSystem, FlushHookDrivesHostDram)
     b.deps = {0};
     b.inbound.push_back({0, 1 << 20});
     job.tasks = {a, b};
-    sys.gam().submitJob(std::move(job));
-    sys.runUntilIdle();
+    sys.runJobs(1, 1, [&job](std::uint32_t) { return job; });
     EXPECT_GT(sys.hostDramLink().bytesMoved(), before);
 }
 
@@ -247,8 +249,7 @@ TEST(ReachSystem, TaskObserverSeesEveryCompletion)
     b.level = acc::Level::NearMem;
     b.deps = {0};
     job.tasks = {a, b};
-    sys.gam().submitJob(std::move(job));
-    sys.runUntilIdle();
+    sys.runJobs(1, 1, [&job](std::uint32_t) { return job; });
 
     ASSERT_EQ(events.size(), 2u);
     EXPECT_EQ(events[0].label, "first");
@@ -262,4 +263,57 @@ TEST(ReachSystem, TaskObserverSeesEveryCompletion)
     // observation strictly after finish (status round trip).
     EXPECT_EQ(events[0].observed, events[0].finished);
     EXPECT_GT(events[1].observed, events[1].finished);
+}
+
+namespace
+{
+
+/** One on-chip task of @p ops operations. */
+gam::JobDesc
+onChipJob(double ops)
+{
+    gam::JobDesc job;
+    gam::TaskDesc t;
+    t.label = "work";
+    t.kernelTemplate = "CNN-VU9P";
+    t.level = acc::Level::OnChip;
+    t.work.ops = ops;
+    job.tasks = {t};
+    return job;
+}
+
+} // namespace
+
+TEST(ReachSystem, RunJobsKeepsTheWindowInFlight)
+{
+    // Job i is built when it is submitted: the first `window` at
+    // once, each later one when an earlier job completes, so no more
+    // than `window` are ever in flight.
+    for (std::uint32_t window : {1u, 3u, 8u}) {
+        SCOPED_TRACE(window);
+        ReachSystem sys(paperConfig());
+        std::vector<std::uint32_t> inflight;
+        RunResult r = sys.runJobs(8, window, [&](std::uint32_t i) {
+            inflight.push_back(
+                i - static_cast<std::uint32_t>(sys.gam().jobsCompleted()));
+            return onChipJob(1e8);
+        });
+        ASSERT_EQ(inflight.size(), 8u);
+        for (std::uint32_t i = 0; i < 8; ++i)
+            EXPECT_EQ(inflight[i], std::min(i, window - 1)) << i;
+        EXPECT_EQ(r.batches, 8u);
+        EXPECT_EQ(r.completedBatches, 8u);
+        EXPECT_EQ(r.makespan, sys.simulator().now());
+        EXPECT_LE(r.meanLatency, r.maxLatency);
+        EXPECT_TRUE(sys.gam().idle());
+    }
+}
+
+TEST(ReachSystem, RunJobsNeedsAWindow)
+{
+    ReachSystem sys(paperConfig());
+    EXPECT_EQ(sys.runJobs(0, 0, nullptr).batches, 0u);
+    EXPECT_THROW(
+        sys.runJobs(1, 0, [](std::uint32_t) { return onChipJob(1); }),
+        sim::SimFatal);
 }

@@ -118,10 +118,14 @@ TEST_F(RuntimeFixture, ListingStyleProgramRuns)
     }
     EXPECT_EQ(iterations, 3);
 
-    sim::Tick end = rt.run();
-    EXPECT_GT(end, 0u);
-    EXPECT_EQ(rt.jobsSubmitted(), 3u);
+    RunResult r = rt.run();
+    EXPECT_GT(r.makespan, 0u);
+    EXPECT_EQ(r.batches, 3u);
+    EXPECT_EQ(r.completedBatches, 3u);
     EXPECT_TRUE(rt.system().gam().idle());
+    // Golden final tick, recorded before the runtime handed its jobs
+    // to ReachSystem::runJobs.
+    EXPECT_EQ(rt.system().simulator().now(), 32'851'282'264u);
 }
 
 TEST_F(RuntimeFixture, ConsumerWithoutProducerIsFatal)
@@ -152,7 +156,7 @@ TEST_F(RuntimeFixture, WorkOverrideChangesTaskDuration)
     cnn.setWork(heavy);
     ASSERT_TRUE(rt.enqueue(input));
     cnn.execute(0);
-    sim::Tick t_heavy = rt.run();
+    sim::Tick t_heavy = rt.run().makespan;
     EXPECT_GT(t_heavy,
               acc::findKernel("CNN-VU9P").computeTicks(4e9));
 }
@@ -179,7 +183,7 @@ TEST_F(RuntimeFixture, CollectStreamSplitsBytesAcrossProducers)
     knn0.execute(0);
     knn1.execute(0);
     merge.execute(0);
-    EXPECT_GT(rt.run(), 0u);
+    EXPECT_GT(rt.run().makespan, 0u);
     EXPECT_EQ(rt.system().gam().jobsCompleted(), 1u);
 }
 
@@ -193,8 +197,7 @@ TEST_F(RuntimeFixture, JobsPipelineAcrossIterations)
     rt.setBatchBudget(5);
     while (rt.enqueue(input))
         cnn.execute(0);
-    rt.run();
-    EXPECT_EQ(rt.jobsSubmitted(), 5u);
+    EXPECT_EQ(rt.run().batches, 5u);
     EXPECT_EQ(rt.system().gam().jobsCompleted(), 5u);
 }
 
@@ -216,7 +219,7 @@ TEST(AccHandleTest, InvalidHandleOperationsAreFatal)
 TEST_F(RuntimeFixture, StreamDepthBoundsInflightJobs)
 {
     // A depth-2 stream must keep at most 2 loop iterations in
-    // flight; the rest wait in the runtime's backlog and still all
+    // flight; the rest wait for a window slot and still all
     // complete.
     auto input = rt.createStream(Level::Cpu, Level::OnChip,
                                  StreamType::Pair, 1024, 2);
@@ -229,8 +232,9 @@ TEST_F(RuntimeFixture, StreamDepthBoundsInflightJobs)
     rt.setBatchBudget(6);
     while (rt.enqueue(input))
         cnn.execute(0);
-    rt.run();
-    EXPECT_EQ(rt.jobsSubmitted(), 6u);
+    RunResult r = rt.run();
+    EXPECT_EQ(r.batches, 6u);
+    EXPECT_EQ(r.completedBatches, 6u);
     EXPECT_TRUE(rt.system().gam().idle());
 }
 
@@ -262,7 +266,7 @@ TEST_F(RuntimeFixture, DeepStreamsAllowMoreOverlap)
             cnn.execute(0);
             gemm.execute(0);
         }
-        return r.run();
+        return r.run().makespan;
     };
 
     sim::Tick shallow = run_with_depth(1);

@@ -117,12 +117,11 @@ TEST(CalibrationMemo, RepeatedCallsReturnIdenticalBits)
 TEST(CalibrationMemo, KeysOnEveryInput)
 {
     // Each variant differs from the base in exactly one input and
-    // calibrates differently (a faster tCK moves only the efficiency),
-    // so a key that ignored that input would hand one config the
-    // other's result.
+    // calibrates differently, so a key that ignored that input would
+    // hand one config the other's result.
     const std::array<std::function<void(CalibrationArgs &)>, 6>
         variants = {
-            [](CalibrationArgs &a) { a.timings.tCK = 625; },
+            [](CalibrationArgs &a) { a.timings.tBL = 2'500; },
             [](CalibrationArgs &a) { a.timings.tREFI = 1'950'000; },
             [](CalibrationArgs &a) { a.channels = 1; },
             [](CalibrationArgs &a) { a.dimmsPerChannel = 1; },
@@ -143,6 +142,23 @@ TEST(CalibrationMemo, KeysOnEveryInput)
             EXPECT_TRUE(sameBits(b.measure(), first_b));
         }
     }
+}
+
+TEST(Calibration, ShorterBurstRaisesBandwidthNotAbovePeak)
+{
+    // A DDR4-3200 burst (4 cycles of 625 ps) with every other timing
+    // unchanged: the bus moves data faster, and the peak the
+    // efficiency divides by moves with it.
+    CalibrationArgs base;
+    CalibrationArgs fast;
+    fast.timings.tBL = 2'500;
+    const StreamCalibration slow_cal = base.measure();
+    const StreamCalibration fast_cal = fast.measure();
+    EXPECT_GT(fast_cal.bandwidth, slow_cal.bandwidth);
+    EXPECT_GT(fast_cal.efficiency, 0.0);
+    EXPECT_LE(fast_cal.efficiency, 1.0);
+    EXPECT_LE(fast_cal.bandwidth,
+              fast.timings.peakBandwidth() * fast.channels);
 }
 
 TEST(CalibrationMemo, ConcurrentFirstCallsAgree)

@@ -173,9 +173,10 @@ TEST(Half, HalfFromFloatsMatchesScalarEncode)
 TEST(Half, HalfNormSqMatchesF16SelfDotBitwise)
 {
     // halfNormSq promises the fp16 kernels' exact lane order; the
-    // scalar gemmNtF16 of a vector with its own decoded floats is
+    // scalar fp16 dot of a vector with its own decoded floats is
     // that same accumulation, so the two must agree bitwise at every
-    // tail length.
+    // tail length. The dot is read through shortlistScoreF16 with
+    // zero norms, which writes 0 - (dot + dot).
     const auto &k = simd::kernels(simd::Backend::scalar);
     const std::size_t kLengths[] = {0, 1, 7, 8, 9, 16, 33, 95, 96, 97};
     for (std::size_t d : kLengths) {
@@ -187,9 +188,12 @@ TEST(Half, HalfNormSqMatchesF16SelfDotBitwise)
                 static_cast<float>(rng.nextGaussian()));
             conv[i] = halfToFloat(h[i]);
         }
+        const float zero = 0.0f;
         float out = -1.0f;
-        k.gemmNtF16(conv.data(), 1, h.data(), 1, d, &out, 1);
-        EXPECT_EQ(simd::halfNormSq(h.data(), d), out) << "d=" << d;
+        k.shortlistScoreF16(conv.data(), &zero, 1, h.data(), &zero, 1, d,
+                            &out, 1);
+        EXPECT_EQ(simd::halfNormSq(h.data(), d), -0.5f * out)
+            << "d=" << d;
 
         // And it is a faithful norm (double-precision reference).
         double ref = 0;
@@ -205,9 +209,9 @@ TEST(Half, HalfNormSqMatchesF16SelfDotBitwise)
  * The keystone of the fp16 bitwise contract: the avx2 decode
  * (VCVTPH2PS inside the fmadd loop) and the software decode agree on
  * every finite half bit pattern. All 63488 finite patterns stream
- * through gemmNtF16 as 7936 rows of d=8 — each row sits entirely in
- * the kernels' vector body, so every pattern is decoded by the
- * hardware path on avx2 — against an all-ones query.
+ * through shortlistScoreF16 (zero norms) as 7936 rows of d=8 — each
+ * row sits entirely in the kernels' vector body, so every pattern is
+ * decoded by the hardware path on avx2 — against an all-ones query.
  */
 TEST(Half, GemmNtF16BackendsAgreeOnEveryFinitePattern)
 {
@@ -224,11 +228,15 @@ TEST(Half, GemmNtF16BackendsAgreeOnEveryFinitePattern)
     ASSERT_EQ(pats.size() % d, 0u);
     const std::size_t m = pats.size() / d;
     const std::vector<float> ones(d, 1.0f);
+    const std::vector<float> norms(m, 0.0f);
+    const float qn = 0.0f;
     std::vector<float> sc(m, -1.0f), av(m, -2.0f);
     simd::kernels(simd::Backend::scalar)
-        .gemmNtF16(ones.data(), 1, pats.data(), m, d, sc.data(), m);
+        .shortlistScoreF16(ones.data(), &qn, 1, pats.data(),
+                           norms.data(), m, d, sc.data(), m);
     simd::kernels(simd::Backend::avx2)
-        .gemmNtF16(ones.data(), 1, pats.data(), m, d, av.data(), m);
+        .shortlistScoreF16(ones.data(), &qn, 1, pats.data(),
+                           norms.data(), m, d, av.data(), m);
     for (std::size_t j = 0; j < m; ++j) {
         EXPECT_EQ(sc[j], av[j])
             << "pattern row starting 0x" << std::hex << pats[j * d];

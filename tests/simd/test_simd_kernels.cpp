@@ -174,6 +174,8 @@ TEST_P(SimdBackend, CrossKernelInvariantsBitwise)
 
 TEST_P(SimdBackend, AdcBatchMatchesAdcAccumBitwise)
 {
+    // Each row's sum is independent of the batch: scoring it alone
+    // (n = 1, the single-code accumulation) gives the same bits.
     // Subspace counts covering m=0, m=1, every m%8 residue, and
     // multi-block; n=7 exercises the 4-row block and its remainder.
     const std::size_t kSubspaces[] = {0, 1, 3, 7, 8, 9, 16, 32, 33};
@@ -190,10 +192,10 @@ TEST_P(SimdBackend, AdcBatchMatchesAdcAccumBitwise)
         k().adcBatch(lut.data(), simd::kAdcLutStride, codes.data(), n,
                      m, out.data());
         for (std::size_t r = 0; r < n; ++r) {
-            EXPECT_EQ(out[r],
-                      k().adcAccum(lut.data(), simd::kAdcLutStride,
-                                   codes.data() + r * m, m))
-                << "adcBatch row " << r << " m=" << m;
+            float one = -2.0f;
+            k().adcBatch(lut.data(), simd::kAdcLutStride,
+                         codes.data() + r * m, 1, m, &one);
+            EXPECT_EQ(out[r], one) << "adcBatch row " << r << " m=" << m;
         }
     }
 }
@@ -238,9 +240,11 @@ TEST_P(SimdBackend, AdcEdgeCases)
     lut[0] = 2.5f;
     lut[200] = 4.0f;
     const std::uint8_t code[] = {200};
-    EXPECT_EQ(k().adcAccum(lut, simd::kAdcLutStride, code, 0), 0.0f);
-    EXPECT_FLOAT_EQ(k().adcAccum(lut, simd::kAdcLutStride, code, 1),
-                    4.0f);
+    float sum = -1.0f;
+    k().adcBatch(lut, simd::kAdcLutStride, code, 1, 0, &sum);
+    EXPECT_EQ(sum, 0.0f);
+    k().adcBatch(lut, simd::kAdcLutStride, code, 1, 1, &sum);
+    EXPECT_FLOAT_EQ(sum, 4.0f);
 
     float out = 42.0f;
     // zero rows: out untouched
@@ -274,11 +278,14 @@ TEST(SimdAdc, BackendsAgreeBitwise)
                     m, b.data());
         for (std::size_t r = 0; r < n; ++r)
             EXPECT_EQ(a[r], b[r]) << "row " << r << " m=" << m;
-        EXPECT_EQ(sc.adcAccum(lut.data(), simd::kAdcLutStride,
-                              codes.data(), m),
-                  av.adcAccum(lut.data(), simd::kAdcLutStride,
-                              codes.data(), m))
-            << "m=" << m;
+        // A lone row runs the avx2 single-code accumulation, not the
+        // four-row block.
+        float one_sc = -1.0f, one_av = -2.0f;
+        sc.adcBatch(lut.data(), simd::kAdcLutStride, codes.data(), 1, m,
+                    &one_sc);
+        av.adcBatch(lut.data(), simd::kAdcLutStride, codes.data(), 1, m,
+                    &one_av);
+        EXPECT_EQ(one_sc, one_av) << "m=" << m;
     }
 }
 
@@ -449,6 +456,24 @@ struct F16Fixture
     }
 };
 
+/**
+ * The fp16 dots C = A * B^T (rows at stride @p ldc), read through
+ * shortlistScoreF16 with zero norms: it writes 0 - (p + p), and
+ * halving that back gives every bit of p except the sign of a zero.
+ */
+void
+f16Dots(const simd::Kernels &kern, const float *a, std::size_t n,
+        const std::uint16_t *b, std::size_t m, std::size_t d, float *c,
+        std::size_t ldc)
+{
+    const std::vector<float> qn(n, 0.0f), cnorm(m, 0.0f);
+    kern.shortlistScoreF16(a, qn.data(), n, b, cnorm.data(), m, d, c,
+                           ldc);
+    for (std::size_t i = 0; i < n; ++i)
+        for (std::size_t j = 0; j < m; ++j)
+            c[i * ldc + j] *= -0.5f;
+}
+
 } // namespace
 
 TEST_P(SimdBackend, GemmNtF16MatchesFp32OnDecodedValues)
@@ -461,7 +486,7 @@ TEST_P(SimdBackend, GemmNtF16MatchesFp32OnDecodedValues)
         auto a = randomVec(n * d, 1300 + d);
         F16Fixture bf(m * d, 1400 + d);
         std::vector<float> c16(n * m, -1.0f), c32(n * m, -2.0f);
-        k().gemmNtF16(a.data(), n, bf.h.data(), m, d, c16.data(), m);
+        f16Dots(k(), a.data(), n, bf.h.data(), m, d, c16.data(), m);
         k().gemmNt(a.data(), n, bf.decoded.data(), m, d, c32.data(),
                    m);
         for (std::size_t i = 0; i < n * m; ++i)
@@ -476,7 +501,7 @@ TEST_P(SimdBackend, GemmNtF16RespectsOutputStride)
     auto a = randomVec(n * d, 3);
     F16Fixture bf(m * d, 4);
     std::vector<float> c(n * ldc, 7.0f);
-    k().gemmNtF16(a.data(), n, bf.h.data(), m, d, c.data(), ldc);
+    f16Dots(k(), a.data(), n, bf.h.data(), m, d, c.data(), ldc);
     for (std::size_t i = 0; i < n; ++i) {
         for (std::size_t j = m; j < ldc; ++j)
             EXPECT_EQ(c[i * ldc + j], 7.0f) << "stride gap clobbered";
@@ -528,7 +553,7 @@ TEST_P(SimdBackend, ShortlistScoreF16IsGemmNtF16PlusEpilogueBitwise)
         auto cnorm = randomVec(m, 2800 + d);
         std::vector<float> prod(n * m, 0.0f);
         std::vector<float> fused(n * ldo, -1.0f);
-        k().gemmNtF16(a.data(), n, bf.h.data(), m, d, prod.data(), m);
+        f16Dots(k(), a.data(), n, bf.h.data(), m, d, prod.data(), m);
         k().shortlistScoreF16(a.data(), qn.data(), n, bf.h.data(),
                               cnorm.data(), m, d, fused.data(), ldo);
         for (std::size_t i = 0; i < n; ++i) {
@@ -562,10 +587,10 @@ TEST(SimdF16, BackendsAgreeBitwise)
         auto cnorm = randomVec(m, 3400 + d);
 
         std::vector<float> gs(n * m, -1.0f), ga(n * m, -2.0f);
-        sc.gemmNtF16(a.data(), n, bf.h.data(), m, d, gs.data(), m);
-        av.gemmNtF16(a.data(), n, bf.h.data(), m, d, ga.data(), m);
+        f16Dots(sc, a.data(), n, bf.h.data(), m, d, gs.data(), m);
+        f16Dots(av, a.data(), n, bf.h.data(), m, d, ga.data(), m);
         for (std::size_t i = 0; i < n * m; ++i)
-            EXPECT_EQ(gs[i], ga[i]) << "gemmNtF16 elt " << i
+            EXPECT_EQ(gs[i], ga[i]) << "fp16 dot elt " << i
                                     << " d=" << d;
 
         std::vector<float> ss(n * m, -1.0f), sa(n * m, -2.0f);
@@ -595,7 +620,6 @@ TEST(SimdDispatch, F16cOverrideSwapsOnlyTheF16Kernels)
 
     simd::detail::setF16cOverrideForTest(true);
     const auto &patched = simd::kernels(simd::Backend::avx2);
-    EXPECT_EQ(patched.gemmNtF16, sc.gemmNtF16);
     EXPECT_EQ(patched.shortlistScoreF16, sc.shortlistScoreF16);
     EXPECT_EQ(patched.gemmNt, full.gemmNt);
     EXPECT_EQ(patched.shortlistScore, full.shortlistScore);
@@ -606,13 +630,12 @@ TEST(SimdDispatch, F16cOverrideSwapsOnlyTheF16Kernels)
     F16Fixture bf(16, 99);
     std::vector<float> a(16, 0.5f);
     float got = -1.0f, want = -2.0f;
-    patched.gemmNtF16(a.data(), 1, bf.h.data(), 1, 16, &got, 1);
-    sc.gemmNtF16(a.data(), 1, bf.h.data(), 1, 16, &want, 1);
+    f16Dots(patched, a.data(), 1, bf.h.data(), 1, 16, &got, 1);
+    f16Dots(sc, a.data(), 1, bf.h.data(), 1, 16, &want, 1);
     EXPECT_EQ(got, want);
 
     simd::detail::setF16cOverrideForTest(false);
     const auto &restored = simd::kernels(simd::Backend::avx2);
-    EXPECT_EQ(restored.gemmNtF16, full.gemmNtF16);
     EXPECT_EQ(restored.shortlistScoreF16, full.shortlistScoreF16);
 }
 
