@@ -133,6 +133,8 @@ main(int argc, char **argv)
         if (opt.trace) {
             sys.gam().setTaskObserver(
                 [](const gam::Gam::TaskEvent &e) {
+                    if (e.kind != gam::Gam::TaskEventKind::Complete)
+                        return;
                     std::printf("  [%10.3f - %10.3f ms] %-22s %s\n",
                                 sim::secondsFromTicks(e.dispatched) *
                                     1e3,

@@ -5,7 +5,6 @@
 #include <ostream>
 #include <sstream>
 
-#include "sim/debug.hh"
 #include "sim/logging.hh"
 
 namespace reach::gam
@@ -388,8 +387,7 @@ Gam::beginTransfers(TaskId tid, std::uint32_t exclude_acc)
     }
     if (route.level != task.desc.level) {
         ++statFailovers;
-        sim::dtrace(now(), "GAM", "failover '", task.desc.label,
-                    "' to ", rows[route.acc].acc->name());
+        notify(TaskEventKind::Failover, route.acc, &task);
     }
 
     task.state = TaskState::WaitingTransfer;
@@ -530,10 +528,9 @@ Gam::dispatch(std::uint32_t acc_id, TaskId tid)
 
     row.currentTask = tid;
     task.state = TaskState::Running;
-    sim::dtrace(now(), "GAM", "dispatch '", task.desc.label, "' to ",
-                row.acc->name());
     statQueueWait.sample(static_cast<double>(now() - task.dispatchedAt));
     task.dispatchedAt = now();
+    notify(TaskEventKind::Dispatch, acc_id, &task);
     ++statTasksDispatched;
 
     std::uint32_t stamp = task.attempts;
@@ -704,10 +701,7 @@ Gam::failAttempt(TaskId tid, const char *why)
     TaskRecord &task = tasks.at(tid);
     disarmTask(task);
     std::uint32_t acc_id = task.assignedAcc;
-
-    sim::dtrace(now(), "GAM", "attempt ", task.attempts, " of '",
-                task.desc.label, "' lost on ", rows[acc_id].acc->name(),
-                ": ", why);
+    notify(TaskEventKind::AttemptLost, acc_id, &task, why);
 
     releaseRowCharge(tid, task);
     // strikeRow can quarantine the instance, re-route its queue, and
@@ -716,6 +710,31 @@ Gam::failAttempt(TaskId tid, const char *why)
     if (tasks.find(tid) != tasks.end())
         beginTransfers(tid, acc_id);
     kick(acc_id);
+}
+
+void
+Gam::notify(TaskEventKind kind, std::uint32_t acc_id,
+            const TaskRecord *task, const char *reason) const
+{
+    if (!taskObserver)
+        return;
+    TaskEvent ev;
+    ev.kind = kind;
+    ev.accName = rows[acc_id].acc->name();
+    ev.level = rows[acc_id].acc->level();
+    ev.observed = now();
+    if (task) {
+        ev.label = task->desc.label;
+        ev.level = task->desc.level;
+        ev.attempt = task->attempts;
+        if (kind != TaskEventKind::Failover)
+            ev.dispatched = task->dispatchedAt;
+        if (kind == TaskEventKind::Complete)
+            ev.finished = task->finishedAt;
+    }
+    if (reason)
+        ev.reason = reason;
+    taskObserver(ev);
 }
 
 void
@@ -733,7 +752,7 @@ Gam::strikeRow(std::uint32_t acc_id)
     row.health = Health::Failed;
     row.quarantinedAt = now();
     ++statQuarantines;
-    sim::dtrace(now(), "GAM", "quarantine ", row.acc->name());
+    notify(TaskEventKind::Quarantine, acc_id);
 
     // Everything still queued here must find another home.
     std::deque<TaskId> drained;
@@ -770,7 +789,7 @@ Gam::recoverRow(std::uint32_t acc_id)
     row.strikes = cfg.quarantineStrikes - 1;
     row.acc->repair();
     ++statRecoveries;
-    sim::dtrace(now(), "GAM", "recovered ", row.acc->name());
+    notify(TaskEventKind::Recovered, acc_id);
     kick(acc_id);
 }
 
@@ -799,18 +818,7 @@ Gam::completeTask(TaskId tid, sim::Tick at)
     }
     disarmTask(task);
     task.state = TaskState::Complete;
-    sim::dtrace(now(), "GAM", "complete '", task.desc.label, "'");
-
-    if (taskObserver) {
-        TaskEvent ev;
-        ev.label = task.desc.label;
-        ev.accName = rows[task.assignedAcc].acc->name();
-        ev.level = task.desc.level;
-        ev.dispatched = task.dispatchedAt;
-        ev.finished = task.finishedAt;
-        ev.observed = now();
-        taskObserver(ev);
-    }
+    notify(TaskEventKind::Complete, task.assignedAcc, &task);
 
     ProgressRow &row = rows[task.assignedAcc];
     if (row.assigned > 0)

@@ -255,21 +255,52 @@ class Gam : public sim::SimObject
     BufferTable &buffers() { return bufferTable; }
     const BufferTable &buffers() const { return bufferTable; }
 
-    /** One completed task, for timeline tracing. */
+    /** The GAM decision a TaskEvent reports (DESIGN.md §4o). */
+    enum class TaskEventKind
+    {
+        /** A task attempt starts running on an accelerator. */
+        Dispatch,
+        /** A task attempt is routed off its home level. */
+        Failover,
+        /** A task attempt is declared lost (see TaskEvent::reason). */
+        AttemptLost,
+        /** An accelerator is quarantined. */
+        Quarantine,
+        /** A quarantined accelerator rejoins the pool. */
+        Recovered,
+        /** The GAM observed a task's completion. */
+        Complete,
+    };
+
+    /** One GAM decision, for timeline tracing. */
     struct TaskEvent
     {
+        TaskEventKind kind = TaskEventKind::Complete;
+        /** Task label; empty for Quarantine and Recovered. */
         std::string label;
+        /** The accelerator the decision concerns. */
         std::string accName;
-        acc::Level level;
-        /** When the GAM handed the task to the accelerator. */
+        /** The task's home level, else the accelerator's level. */
+        acc::Level level = acc::Level::OnChip;
+        /** The task's dispatch attempt (1-based); 0 for row events. */
+        std::uint32_t attempt = 0;
+        /** AttemptLost only: why the attempt was lost. */
+        std::string reason;
+        /** Dispatch, AttemptLost and Complete: when the GAM handed
+         *  this attempt to the accelerator. */
         sim::Tick dispatched = 0;
-        /** When the device finished. */
+        /** Complete only: when the device finished. */
         sim::Tick finished = 0;
-        /** When the GAM observed completion (poll round trip). */
+        /** When the GAM made the decision; for Complete, when it
+         *  observed completion (after the poll round trip). */
         sim::Tick observed = 0;
     };
 
-    /** Observe every task completion (timeline export, tests). */
+    /**
+     * Observe every GAM decision: dispatch, failover, lost attempt,
+     * quarantine, recovery and completion. With no observer set,
+     * each decision costs one empty-function check.
+     */
     void
     setTaskObserver(std::function<void(const TaskEvent &)> obs)
     {
@@ -395,6 +426,12 @@ class Gam : public sim::SimObject
     /** Record a watchdog strike; quarantine at the threshold. */
     void strikeRow(std::uint32_t acc_id);
     void recoverRow(std::uint32_t acc_id);
+
+    /** Report a decision on row @p acc_id (and @p task, if any) to
+     *  the observer; a no-op without one. */
+    void notify(TaskEventKind kind, std::uint32_t acc_id,
+                const TaskRecord *task = nullptr,
+                const char *reason = nullptr) const;
 
     /** Release the row accounting an attempt charged. */
     void releaseRowCharge(TaskId tid, TaskRecord &task);

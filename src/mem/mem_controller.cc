@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "sim/debug.hh"
 #include "sim/logging.hh"
 
 namespace reach::mem

@@ -92,8 +92,7 @@ QueryService::QueryService(core::ReachSystem &system,
       sys(system), map(mapping), cfg(config),
       batchSize(scale.batchSize),
       arrivals(cfg.arrival),
-      ladder(degradeLadder(scale,
-                           cfg.degrade ? cfg.degradeLevels : 0)),
+      ladder(degradeLadder(scale, cfg.degrade ? 3 : 0)),
       estBatchLatency(cfg.initialLatencyEstimate),
       latency("latency", "completed-request latency percentiles")
 {
@@ -184,8 +183,6 @@ QueryService::onArrival()
 void
 QueryService::dropExpiredFront()
 {
-    if (!cfg.dropExpired)
-        return;
     while (!queue.empty() && deadlineOf(queue.front()) < now()) {
         std::uint64_t id = queue.front();
         queue.pop_front();
@@ -340,7 +337,7 @@ QueryService::batchFailed(const std::shared_ptr<Batch> &batch,
 void
 QueryService::evaluateController()
 {
-    if (!cfg.degrade || numDegradeLevels() == 0)
+    if (!cfg.degrade)
         return;
     double occupancy = static_cast<double>(queue.size()) /
                        cfg.queueCapacity;

@@ -92,11 +92,9 @@ struct ServiceConfig
     /** Base retry delay; doubles per attempt (exponential backoff). */
     sim::Tick retryBackoff = 500 * sim::tickPerUs;
 
-    /** Overload-degradation controller on/off (the A/B knob). */
+    /** Overload-degradation controller on/off (the A/B knob): on,
+     *  the three-level degradeLadder(); off, full quality only. */
     bool degrade = true;
-
-    /** Quality-step-down levels available (0..3). */
-    std::uint32_t degradeLevels = 3;
 
     /** Queue occupancy (fraction) that steps quality down a level. */
     double highWatermark = 0.75;
@@ -106,9 +104,6 @@ struct ServiceConfig
 
     /** Consecutive calm evaluations before stepping quality back up. */
     std::uint32_t hysteresisEvals = 4;
-
-    /** Drop queued requests whose deadline already passed. */
-    bool dropExpired = true;
 
     /** Fatal on malformed values. */
     void validate() const;

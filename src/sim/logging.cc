@@ -14,18 +14,11 @@ std::atomic<bool> quietMode{false};
 
 /**
  * Serializes writes to the shared stderr sink so lines from
- * concurrent simulators never interleave mid-message. Shared with
- * debug.cc via logSinkMutex().
+ * concurrent simulators never interleave mid-message.
  */
 std::mutex sinkMu;
 
 } // namespace
-
-std::mutex &
-detail::logSinkMutex()
-{
-    return sinkMu;
-}
 
 void
 setQuiet(bool quiet)

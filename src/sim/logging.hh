@@ -13,7 +13,6 @@
 #ifndef REACH_SIM_LOGGING_HH
 #define REACH_SIM_LOGGING_HH
 
-#include <mutex>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -39,9 +38,6 @@ namespace detail
 {
 
 void emit(const char *level, const std::string &msg);
-
-/** Mutex serializing all writes to the shared stderr sink. */
-std::mutex &logSinkMutex();
 
 template <typename... Args>
 std::string

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <iomanip>
 
 #include "logging.hh"
 
@@ -22,15 +21,6 @@ Distribution::sample(double v)
     }
     ++n;
     total += v;
-}
-
-void
-Distribution::reset()
-{
-    n = 0;
-    total = 0;
-    mn = 0;
-    mx = 0;
 }
 
 void
@@ -94,14 +84,6 @@ PercentileRecorder::percentile(double p) const
 }
 
 void
-PercentileRecorder::reset()
-{
-    samples.clear();
-    sorted = true;
-    total = 0;
-}
-
-void
 StatRegistry::add(Stat &stat)
 {
     auto [it, inserted] = stats.emplace(stat.name(), &stat);
@@ -110,34 +92,11 @@ StatRegistry::add(Stat &stat)
         panic("duplicate stat name '", stat.name(), "'");
 }
 
-void
-StatRegistry::remove(const std::string &name)
-{
-    stats.erase(name);
-}
-
 const Stat *
 StatRegistry::find(const std::string &name) const
 {
     auto it = stats.find(name);
     return it == stats.end() ? nullptr : it->second;
-}
-
-std::vector<const Stat *>
-StatRegistry::all() const
-{
-    std::vector<const Stat *> out;
-    out.reserve(stats.size());
-    for (const auto &[name, stat] : stats)
-        out.push_back(stat);
-    return out;
-}
-
-void
-StatRegistry::resetAll()
-{
-    for (auto &[name, stat] : stats)
-        stat->reset();
 }
 
 namespace
@@ -192,16 +151,6 @@ StatRegistry::dumpJson(std::ostream &os) const
            << jsonEscape(stat->desc()) << "\"}";
     }
     os << "\n}\n";
-}
-
-void
-StatRegistry::dump(std::ostream &os) const
-{
-    for (const auto &[name, stat] : stats) {
-        os << std::left << std::setw(48) << name << " "
-           << std::right << std::setw(16) << stat->value()
-           << "  # " << stat->desc() << "\n";
-    }
 }
 
 } // namespace reach::sim

@@ -4,15 +4,13 @@
  *
  * Components own stat objects and register them with a StatRegistry
  * under hierarchical dotted names ("mem.ctrl0.readReqs"). The registry
- * can dump every stat as a formatted table and supports reset between
- * measurement phases.
+ * finds a stat by name and dumps every stat as JSON.
  */
 
 #ifndef REACH_SIM_STATS_HH
 #define REACH_SIM_STATS_HH
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <ostream>
 #include <string>
@@ -33,11 +31,8 @@ class Stat
     const std::string &name() const { return _name; }
     const std::string &desc() const { return _desc; }
 
-    /** Current value rendered as a double (for dumping/formulas). */
+    /** Current value rendered as a double (for dumping). */
     virtual double value() const = 0;
-
-    /** Reset to the post-construction state. */
-    virtual void reset() = 0;
 
   private:
     std::string _name;
@@ -55,7 +50,6 @@ class Scalar : public Stat
     void set(double v) { val = v; }
 
     double value() const override { return val; }
-    void reset() override { val = 0; }
 
   private:
     double val = 0;
@@ -75,9 +69,8 @@ class Distribution : public Stat
     double minValue() const { return n ? mn : 0; }
     double maxValue() const { return n ? mx : 0; }
 
-    /** value() reports the mean so formulas can consume it. */
+    /** value() reports the mean. */
     double value() const override { return mean(); }
-    void reset() override;
 
   private:
     std::uint64_t n = 0;
@@ -126,7 +119,6 @@ class PercentileRecorder : public Stat
     {
         return static_cast<double>(p99());
     }
-    void reset() override;
 
   private:
     /** Sorted on demand; `sorted` tracks whether it still is. */
@@ -135,24 +127,8 @@ class PercentileRecorder : public Stat
     unsigned __int128 total = 0;
 };
 
-/** A derived statistic evaluated on demand. */
-class Formula : public Stat
-{
-  public:
-    Formula(std::string name, std::string desc,
-            std::function<double()> fn)
-        : Stat(std::move(name), std::move(desc)), eval(std::move(fn))
-    {}
-
-    double value() const override { return eval ? eval() : 0; }
-    void reset() override {}
-
-  private:
-    std::function<double()> eval;
-};
-
 /**
- * Owns nothing; tracks registered stats by name for dump/reset.
+ * Owns nothing; tracks registered stats by name for lookup and dump.
  * Stats must outlive the registry entries that reference them.
  */
 class StatRegistry
@@ -161,23 +137,11 @@ class StatRegistry
     /** Register a stat; names must be unique. */
     void add(Stat &stat);
 
-    /** Remove a stat by name (for components with dynamic lifetime). */
-    void remove(const std::string &name);
-
     /** Look up a stat, or nullptr. */
     const Stat *find(const std::string &name) const;
 
-    /** All registered stats in name order. */
-    std::vector<const Stat *> all() const;
-
-    /** Reset every registered stat. */
-    void resetAll();
-
-    /** Write "name value # desc" lines, gem5-stats style. */
-    void dump(std::ostream &os) const;
-
     /**
-     * Write the registry as a JSON object:
+     * Write the registry as a JSON object, in name order:
      * {"name": {"value": v, "desc": "..."}, ...} — for downstream
      * analysis scripts and plotting.
      */

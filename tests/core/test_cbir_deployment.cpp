@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <numeric>
 
 #include "core/cbir_deployment.hh"
@@ -471,4 +472,48 @@ TEST(CbirDeployment, FaultedRunReportsGoodputNotOffered)
     EXPECT_EQ(r.failedBatches, 3u);
     EXPECT_DOUBLE_EQ(r.throughputBatchesPerSec(), 0.0);
     EXPECT_GT(r.offeredBatchesPerSec(), 0.0);
+}
+
+TEST(CbirDeployment, TaskObserverNeverChangesResults)
+{
+    // Tracing is read-only: a run with every GAM decision reported
+    // to an observer matches the unobserved run bit for bit.
+    struct Outcome
+    {
+        RunResult r;
+        sim::Tick end = 0;
+        std::uint64_t events = 0;
+        energy::EnergyBreakdown energy;
+    };
+    auto run = [](bool observe) {
+        ReachSystem sys{SystemConfig{}};
+        std::uint64_t seen = 0;
+        if (observe) {
+            sys.gam().setTaskObserver(
+                [&seen](const gam::Gam::TaskEvent &) { ++seen; });
+        }
+        CbirDeployment dep(sys, paperModel(), Mapping::Reach);
+        Outcome o;
+        o.r = dep.run(12);
+        o.end = sys.simulator().now();
+        o.events = sys.simulator().eventsExecuted();
+        o.energy = sys.measureEnergy();
+        EXPECT_EQ(seen > 0, observe);
+        return o;
+    };
+    Outcome plain = run(false);
+    Outcome traced = run(true);
+
+    EXPECT_EQ(traced.r.batches, plain.r.batches);
+    EXPECT_EQ(traced.r.completedBatches, plain.r.completedBatches);
+    EXPECT_EQ(traced.r.failedBatches, plain.r.failedBatches);
+    EXPECT_EQ(traced.r.makespan, plain.r.makespan);
+    EXPECT_EQ(traced.r.meanLatency, plain.r.meanLatency);
+    EXPECT_EQ(traced.r.maxLatency, plain.r.maxLatency);
+    EXPECT_EQ(traced.end, plain.end);
+    EXPECT_EQ(traced.events, plain.events);
+    EXPECT_EQ(std::memcmp(traced.energy.joules.data(),
+                          plain.energy.joules.data(),
+                          sizeof(plain.energy.joules)),
+              0);
 }

@@ -232,9 +232,13 @@ TEST(ReachSystem, TaskObserverSeesEveryCompletion)
 {
     ReachSystem sys{SystemConfig{}};
     std::vector<gam::Gam::TaskEvent> events;
+    std::uint32_t dispatches = 0;
     sys.gam().setTaskObserver(
-        [&events](const gam::Gam::TaskEvent &e) {
-            events.push_back(e);
+        [&](const gam::Gam::TaskEvent &e) {
+            if (e.kind == gam::Gam::TaskEventKind::Complete)
+                events.push_back(e);
+            else if (e.kind == gam::Gam::TaskEventKind::Dispatch)
+                ++dispatches;
         });
 
     gam::JobDesc job;
@@ -251,6 +255,7 @@ TEST(ReachSystem, TaskObserverSeesEveryCompletion)
     job.tasks = {a, b};
     sys.runJobs(1, 1, [&job](std::uint32_t) { return job; });
 
+    EXPECT_EQ(dispatches, 2u);
     ASSERT_EQ(events.size(), 2u);
     EXPECT_EQ(events[0].label, "first");
     EXPECT_EQ(events[1].label, "second");

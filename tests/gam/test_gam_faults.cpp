@@ -9,8 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <map>
 #include <memory>
 #include <sstream>
+#include <vector>
 
 #include "fault/fault.hh"
 #include "gam/gam.hh"
@@ -321,7 +323,8 @@ TEST_F(FaultFixture, CrossLevelFailoverRemapsKernelTemplate)
 
     std::string completed_on;
     gam->setTaskObserver([&](const Gam::TaskEvent &ev) {
-        completed_on = ev.accName;
+        if (ev.kind == Gam::TaskEventKind::Complete)
+            completed_on = ev.accName;
     });
 
     auto out = submitOne(
@@ -338,6 +341,75 @@ TEST_F(FaultFixture, CrossLevelFailoverRemapsKernelTemplate)
     EXPECT_TRUE(gam->isQuarantined(nm0Id));
     EXPECT_TRUE(gam->isQuarantined(nm1Id));
     EXPECT_EQ(gam->jobsCompleted(), 1u);
+}
+
+TEST_F(FaultFixture, ObserverSeesEveryGamDecision)
+{
+    // nm0 crashes and nm1 hangs under the same task, so both are
+    // quarantined, the third attempt fails over to the on-chip
+    // instance, and both modules recover afterwards. Every decision
+    // must reach the observer, matching the GAM's own counters.
+    cfg.quarantineStrikes = 1;
+    cfg.recoveryDelay = 2 * sim::tickPerMs;
+    fault::FaultPlan plan;
+    plan.scripted.push_back(
+        scripted(fault::FaultKind::AccCrash, "nm0"));
+    plan.scripted.push_back(
+        scripted(fault::FaultKind::AccHang, "nm1"));
+    build(plan);
+
+    std::map<Gam::TaskEventKind, std::uint64_t> counts;
+    std::vector<Gam::TaskEvent> lost, completed;
+    sim::Tick last = 0;
+    gam->setTaskObserver([&](const Gam::TaskEvent &ev) {
+        EXPECT_GE(ev.observed, last);
+        last = ev.observed;
+        EXPECT_EQ(ev.observed, sim.now());
+        ++counts[ev.kind];
+        if (ev.kind == Gam::TaskEventKind::AttemptLost)
+            lost.push_back(ev);
+        if (ev.kind == Gam::TaskEventKind::Complete)
+            completed.push_back(ev);
+    });
+
+    auto out = submitOne(
+        simpleTask("doomed", Level::NearMem, "GeMM-ZCU9"));
+    sim.run();
+
+    ASSERT_GT(out->completedAt, 0u);
+    using K = Gam::TaskEventKind;
+    EXPECT_EQ(counts[K::Dispatch], gam->tasksDispatched());
+    EXPECT_EQ(counts[K::AttemptLost], gam->taskRetries());
+    EXPECT_EQ(counts[K::Failover], gam->failovers());
+    EXPECT_EQ(counts[K::Quarantine], gam->quarantines());
+    EXPECT_EQ(counts[K::Recovered], gam->recoveries());
+    EXPECT_EQ(counts[K::Complete], 1u);
+    // The scenario reaches every kind.
+    EXPECT_EQ(gam->taskRetries(), 2u);
+    EXPECT_EQ(gam->failovers(), 1u);
+    EXPECT_EQ(gam->quarantines(), 2u);
+    EXPECT_EQ(gam->recoveries(), 2u);
+
+    // A lost attempt names its task, device and reason, and carries
+    // the tick it was dispatched.
+    ASSERT_EQ(lost.size(), 2u);
+    EXPECT_EQ(lost[0].accName, "nm0");
+    EXPECT_EQ(lost[1].accName, "nm1");
+    for (std::size_t i = 0; i < lost.size(); ++i) {
+        EXPECT_EQ(lost[i].label, "doomed");
+        EXPECT_EQ(lost[i].attempt, i + 1);
+        EXPECT_EQ(lost[i].reason, "watchdog deadline missed");
+        EXPECT_GT(lost[i].dispatched, 0u);
+        EXPECT_LT(lost[i].dispatched, lost[i].observed);
+    }
+
+    ASSERT_EQ(completed.size(), 1u);
+    const Gam::TaskEvent &done = completed[0];
+    EXPECT_EQ(done.accName, "oc");
+    EXPECT_EQ(done.attempt, 3u);
+    EXPECT_LE(done.dispatched, done.finished);
+    EXPECT_LE(done.finished, done.observed);
+    EXPECT_GE(done.dispatched, lost[1].observed);
 }
 
 TEST_F(FaultFixture, FailoverDisabledFailsJobInstead)

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstring>
 #include <sstream>
 #include <string>
 
@@ -391,6 +392,54 @@ TEST(QueryService, FaultedRunsAreDeterministicPerSeed)
     ServiceResult a = runService(cfg, core::Mapping::Reach, sc);
     ServiceResult b = runService(cfg, core::Mapping::Reach, sc);
     EXPECT_TRUE(a == b);
+}
+
+TEST(QueryService, TaskObserverNeverChangesFaultedResults)
+{
+    // A faulted stream (crash, hang and poll-drop injection) traced
+    // through the GAM observer matches the untraced stream bit for
+    // bit: every decision is reported, none is influenced.
+    ServiceConfig cfg = baseConfig(64, 1'200);
+    core::SystemConfig sc = faultySystem(0.05);
+    sc.faultPlan.pollDropProb = 0.05;
+
+    struct Outcome
+    {
+        ServiceResult r;
+        sim::Tick end = 0;
+        std::uint64_t events = 0;
+        energy::EnergyBreakdown energy;
+        std::uint64_t lost = 0;
+    };
+    auto run = [&](bool observe) {
+        core::ReachSystem sys(sc);
+        Outcome o;
+        if (observe) {
+            sys.gam().setTaskObserver(
+                [&o](const gam::Gam::TaskEvent &e) {
+                    if (e.kind == gam::Gam::TaskEventKind::AttemptLost)
+                        ++o.lost;
+                });
+        }
+        QueryService svc(sys, testScale(), core::Mapping::Reach, cfg);
+        o.r = svc.run();
+        o.end = sys.simulator().now();
+        o.events = sys.simulator().eventsExecuted();
+        o.energy = sys.measureEnergy();
+        return o;
+    };
+    Outcome plain = run(false);
+    Outcome traced = run(true);
+
+    EXPECT_TRUE(traced.r == plain.r);
+    EXPECT_EQ(traced.end, plain.end);
+    EXPECT_EQ(traced.events, plain.events);
+    EXPECT_EQ(std::memcmp(traced.energy.joules.data(),
+                          plain.energy.joules.data(),
+                          sizeof(plain.energy.joules)),
+              0);
+    // The plan is hot enough that attempts were actually lost.
+    EXPECT_GT(traced.lost, 0u);
 }
 
 TEST(QueryService, ReportWedgeDumpsRequestTableAndPanics)
