@@ -1,9 +1,11 @@
 #include "kmeans.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 
 #include "sim/logging.hh"
+#include "simd/aligned.hh"
 #include "simd/simd.hh"
 
 namespace reach::cbir
@@ -12,69 +14,170 @@ namespace reach::cbir
 namespace
 {
 
+/** Nearest neighbours each centroid's table keeps (DESIGN §4p). */
+constexpr std::size_t kNeighbours = 32;
+
+template <typename T>
+using AlignedVector = std::vector<T, simd::AlignedAllocator<T>>;
+constexpr std::size_t kLineFloats = 64 / sizeof(float);
+constexpr std::size_t kLineDoubles = 64 / sizeof(double);
+
+constexpr std::size_t
+roundUp(std::size_t n, std::size_t m)
+{
+    return (n + m - 1) / m * m;
+}
+
+/**
+ * The rounding bounds both pruning tests rest on (DESIGN §4p), for
+ * vectors of @p dim floats. gamma = gamma_{d+4} = (d+4)u / (1-(d+4)u)
+ * with u the float unit roundoff: the analysis needs gamma_{d+2} for
+ * an l2sq and for a score, and the two extra steps cover the double
+ * arithmetic of the tests themselves. floor bounds what products that
+ * underflow to subnormals can lose in one d-term sum.
+ */
+struct RoundingBounds
+{
+    double gamma;
+    double floor;
+
+    explicit RoundingBounds(std::size_t dim)
+    {
+        const double nu = double(dim + 4) *
+                          (std::numeric_limits<float>::epsilon() / 2);
+        // Past nu = 1/4 the bounds are vacuous: never prune.
+        gamma = nu < 0.25 ? nu / (1 - nu)
+                          : std::numeric_limits<double>::infinity();
+        floor = double(dim) * std::numeric_limits<float>::denorm_min();
+    }
+
+    /**
+     * True when a new seed at computed l2sq distance @p gap from a
+     * point's nearest seed, itself at computed l2sq @p nearest from
+     * the point, is provably no nearer to the point than that seed.
+     */
+    bool
+    seedCannotWin(float gap, float nearest) const
+    {
+        return gap <= std::numeric_limits<float>::max() &&
+               gap > 4 * (1 + 3 * gamma) * (nearest + floor) + floor;
+    }
+
+    /**
+     * Bound E on the error of a computed score ||c||^2 - 2 x.c and of
+     * a computed ||x - c||^2, for a point of computed norm @p qn
+     * against centroids of computed norms at most @p cmax.
+     */
+    double
+    scoreError(float qn, double cmax) const
+    {
+        return 2 * gamma * (qn + cmax) / (1 - gamma) + 4 * floor;
+    }
+
+    /**
+     * Computed l2sq distance from the current centroid beyond which a
+     * centroid's score provably exceeds the current one's, for a
+     * point whose computed squared distance to the current centroid
+     * is @p d2 and whose score error bound is @p e.
+     */
+    double
+    pruneCutoff(double d2, double e) const
+    {
+        const double hi2 = std::max(0.0, d2) + e;
+        const double r = std::sqrt(hi2) + std::sqrt(hi2 + 2 * e);
+        return (1 + gamma) * r * r + floor;
+    }
+};
+
+/**
+ * Points and centroids whose computed squared norms sum to less than
+ * this keep every sum in a score or an l2sq far from float overflow,
+ * the range the bounds assume; larger ones get the full scan.
+ */
+constexpr double kPruneRange = std::numeric_limits<float>::max() / 16;
+
 /**
  * argmin_c of the score ||C_c||^2 - 2 v.C_c (the ||v||^2 term is
- * constant across centroids), with one batched dot sweep over the
- * centroid matrix. Ties break to the lower index via the strict
- * comparison. Both the Lloyd assignment step and nearestCentroid()
- * funnel through this, so they can never disagree for a backend.
+ * constant across centroids); ties break to the lower index. The
+ * full scan (nearestByDecomposition, also behind nearestCentroid())
+ * and the pruned Lloyd assignment both pick through offer(), so they
+ * can never disagree for a backend.
  */
 struct NearestHit
 {
     std::uint32_t index = 0;
     /** ||C||^2 - 2 v.C of the winner; add ||v||^2 for the l2sq. */
-    float score = 0;
+    float score = std::numeric_limits<float>::max();
+
+    /** Take centroid @p c when it beats the hit in (score, index). */
+    void
+    offer(std::uint32_t c, float s)
+    {
+        if (s < score || (s == score && c < index)) {
+            score = s;
+            index = c;
+        }
+    }
 };
 
 NearestHit
 nearestByDecomposition(const simd::Kernels &k, const Matrix &centroids,
-                       std::span<const float> cnorm,
-                       std::span<const float> v,
-                       std::vector<float> &dots)
+                       std::span<const float> cnorm, const float *v,
+                       float *dots)
 {
     const std::size_t m = centroids.rows();
-    dots.resize(m);
-    k.dotBatch(v.data(), centroids.flat().data(), m, centroids.cols(),
-               dots.data());
+    k.dotBatch(v, centroids.flat().data(), m, centroids.cols(), dots);
     NearestHit hit;
-    hit.score = std::numeric_limits<float>::max();
-    for (std::size_t c = 0; c < m; ++c) {
-        float s = cnorm[c] - 2.0f * dots[c];
-        if (s < hit.score) {
-            hit.score = s;
-            hit.index = static_cast<std::uint32_t>(c);
-        }
-    }
+    for (std::size_t c = 0; c < m; ++c)
+        hit.offer(static_cast<std::uint32_t>(c), cnorm[c] - 2.0f * dots[c]);
     return hit;
 }
 
-std::vector<float>
-centroidNorms(const simd::Kernels &k, const Matrix &centroids)
+void
+centroidNorms(const simd::Kernels &k, const Matrix &centroids,
+              std::vector<float> &cnorm)
 {
-    std::vector<float> cnorm(centroids.rows());
+    cnorm.resize(centroids.rows());
     for (std::size_t c = 0; c < centroids.rows(); ++c)
         cnorm[c] = k.normSq(centroids.row(c).data(), centroids.cols());
-    return cnorm;
 }
 
-/** k-means++ seeding: spread initial centroids by D^2 sampling. */
+/**
+ * k-means++ seeding: spread initial centroids by D^2 sampling. Each
+ * point keeps its nearest seed so far in @p nearest; a new seed far
+ * enough from that one cannot change the point's distance, so its
+ * l2sq is skipped (DESIGN §4p). The sampled seeds are those of the
+ * full scan.
+ */
 Matrix
 seedCentroids(const Matrix &points, std::size_t k, sim::Rng &rng,
-              simd::Choice backend)
+              const simd::Kernels &kern, const RoundingBounds &bounds,
+              std::vector<std::uint32_t> &nearest)
 {
-    Matrix centroids(k, points.cols());
+    const std::size_t dim = points.cols();
+    Matrix centroids(k, dim);
     std::size_t first = rng.nextUInt(points.rows());
     std::copy(points.row(first).begin(), points.row(first).end(),
               centroids.row(0).begin());
 
     std::vector<float> min_d(points.rows(),
                              std::numeric_limits<float>::max());
+    nearest.assign(points.rows(), 0);
+    // gap[j]: l2sq from the newest seed to seed j.
+    std::vector<float> gap(k);
     for (std::size_t c = 1; c < k; ++c) {
+        const float *seed = centroids.row(c - 1).data();
+        for (std::size_t j = 0; j < c; ++j)
+            gap[j] = kern.l2sq(seed, centroids.row(j).data(), dim);
         double total = 0;
         for (std::size_t i = 0; i < points.rows(); ++i) {
-            float d =
-                l2sq(points.row(i), centroids.row(c - 1), backend);
-            min_d[i] = std::min(min_d[i], d);
+            if (!bounds.seedCannotWin(gap[nearest[i]], min_d[i])) {
+                float d = kern.l2sq(points.row(i).data(), seed, dim);
+                if (d < min_d[i]) {
+                    min_d[i] = d;
+                    nearest[i] = static_cast<std::uint32_t>(c - 1);
+                }
+            }
             total += min_d[i];
         }
         double target = rng.nextDouble() * total;
@@ -93,15 +196,122 @@ seedCentroids(const Matrix &points, std::size_t k, sim::Rng &rng,
     return centroids;
 }
 
-/**
- * Per-chunk accumulator of the Lloyd assignment step: cluster sums,
- * member counts and the inertia contribution of one point range.
- */
-struct AssignPartial
+/** One entry of a centroid's neighbour table. */
+struct Neighbour
 {
-    std::vector<double> sums;
-    std::vector<std::uint32_t> counts;
-    double inertia = 0;
+    float l2;
+    std::uint32_t id;
+
+    bool
+    operator<(const Neighbour &o) const
+    {
+        return l2 < o.l2 || (l2 == o.l2 && id < o.id);
+    }
+};
+
+/**
+ * Each centroid's kNeighbours nearest other centroids by computed
+ * l2sq, nearest first; every centroid left out of a row is at least
+ * as far as the row's last entry.
+ */
+class NeighbourTable
+{
+  public:
+    NeighbourTable(std::size_t k, const parallel::ParallelConfig &par)
+        : k(k), width(std::min(kNeighbours, k - 1)), par(par),
+          entries(k * width), pairs(parallel::detail::chunkCount(
+                                        k, kRowGrain) * k)
+    {
+    }
+
+    void
+    build(const simd::Kernels &kern, const Matrix &centroids)
+    {
+        const std::size_t dim = centroids.cols();
+        parallel::parallelFor(
+            0, k, kRowGrain,
+            [&](std::size_t b, std::size_t e) {
+                Neighbour *row = pairs.data() + b / kRowGrain * k;
+                for (std::size_t a = b; a < e; ++a) {
+                    const float *ca = centroids.row(a).data();
+                    std::size_t n = 0;
+                    for (std::size_t c = 0; c < k; ++c) {
+                        if (c == a)
+                            continue;
+                        row[n++] = {kern.l2sq(ca, centroids.row(c).data(),
+                                              dim),
+                                    static_cast<std::uint32_t>(c)};
+                    }
+                    std::partial_sort(row, row + width, row + n);
+                    std::copy(row, row + width,
+                              entries.begin() + a * width);
+                }
+            },
+            par);
+    }
+
+    std::span<const Neighbour>
+    of(std::size_t a) const
+    {
+        return {entries.data() + a * width, width};
+    }
+
+    /** A row that holds every other centroid never runs out. */
+    bool holdsAll() const { return width == k - 1; }
+
+  private:
+    static constexpr std::size_t kRowGrain = 16;
+    std::size_t k;
+    std::size_t width;
+    parallel::ParallelConfig par;
+    std::vector<Neighbour> entries;
+    /** One row of candidate pairs per chunk of kRowGrain centroids. */
+    std::vector<Neighbour> pairs;
+};
+
+/**
+ * One Lloyd iteration's assignment rule: the full scan's winner,
+ * found by scoring the point's previous centroid a and only those
+ * neighbours of a the triangle bound cannot rule out (DESIGN §4p).
+ */
+struct Assigner
+{
+    const simd::Kernels &kern;
+    const Matrix &centroids;
+    std::span<const float> cnorm;
+    const RoundingBounds &bounds;
+    /** Null when some centroid is out of the bounds' range. */
+    const NeighbourTable *table;
+    double cmax;
+
+    /**
+     * @param dots Scratch for one score per centroid.
+     * @param ids  Scratch for one id per table column.
+     */
+    NearestHit
+    nearest(const float *x, float qn, std::uint32_t a, float *dots,
+            std::uint32_t *ids) const
+    {
+        if (!table || !(qn + cmax < kPruneRange))
+            return nearestByDecomposition(kern, centroids, cnorm, x, dots);
+        const std::size_t dim = centroids.cols();
+        const float *base = centroids.flat().data();
+        const float sa = cnorm[a] - 2.0f * kern.dot(x, base + a * dim, dim);
+        const double cutoff = bounds.pruneCutoff(
+            double(qn) + sa, bounds.scoreError(qn, cmax));
+        std::span<const Neighbour> row = table->of(a);
+        std::size_t m = 0;
+        for (; m < row.size() && !(row[m].l2 > cutoff); ++m)
+            ids[m] = row[m].id;
+        if (m == row.size() && !table->holdsAll())
+            return nearestByDecomposition(kern, centroids, cnorm, x, dots);
+        kern.dotIdx(x, base, ids, m, dim, dots);
+        NearestHit hit;
+        hit.offer(a, sa);
+        for (std::size_t r = 0; r < m; ++r)
+            hit.offer(ids[r], cnorm[ids[r]] - 2.0f * dots[r]);
+        return hit;
+    }
 };
 
 } // namespace
@@ -111,9 +321,12 @@ nearestCentroid(const Matrix &centroids, std::span<const float> v,
                 simd::Choice backend)
 {
     const simd::Kernels &k = simd::kernels(backend);
-    std::vector<float> cnorm = centroidNorms(k, centroids);
-    std::vector<float> dots;
-    return nearestByDecomposition(k, centroids, cnorm, v, dots).index;
+    std::vector<float> cnorm;
+    centroidNorms(k, centroids, cnorm);
+    std::vector<float> dots(centroids.rows());
+    return nearestByDecomposition(k, centroids, cnorm, v.data(),
+                                  dots.data())
+        .index;
 }
 
 KMeansResult
@@ -125,19 +338,36 @@ kMeans(const Matrix &points, const KMeansConfig &cfg)
     }
 
     const simd::Kernels &kern = simd::kernels(cfg.parallel.simd);
+    const std::size_t n = points.rows();
+    const std::size_t dim = points.cols();
+    const std::size_t k = cfg.clusters;
+    const RoundingBounds bounds(dim);
     sim::Rng rng(cfg.seed);
     KMeansResult res;
+    // Iteration 0 starts each point from its nearest seed.
     res.centroids =
-        seedCentroids(points, cfg.clusters, rng, cfg.parallel.simd);
-    res.assignment.assign(points.rows(), 0);
+        seedCentroids(points, k, rng, kern, bounds, res.assignment);
 
-    const std::size_t dim = points.cols();
     // The grain depends only on the point count (never the thread
     // count) so the chunk-ordered folds below are bitwise identical
-    // at 1 and N threads; the 64-chunk cap bounds the transient
-    // per-chunk sum buffers (clusters x dim doubles each).
-    const std::size_t grain = std::max<std::size_t>(
-        1024, (points.rows() + 63) / 64);
+    // at 1 and N threads.
+    const std::size_t grain =
+        std::max<std::size_t>(1024, (n + 63) / 64);
+    const std::size_t chunks = parallel::detail::chunkCount(n, grain);
+
+    // Scratch for the whole run, sized once. The per-chunk dot and id
+    // slices and the per-range sum columns, written once per point,
+    // start on their own cache lines.
+    std::vector<float> cnorm(k);
+    NeighbourTable table(k, cfg.parallel);
+    const std::size_t dotsStride = roundUp(k, kLineFloats);
+    AlignedVector<float> chunkDots(chunks * dotsStride);
+    AlignedVector<std::uint32_t> chunkIds(chunks * kNeighbours);
+    std::vector<double> chunkInertia(chunks);
+    const std::size_t sumsStride = roundUp(dim, kLineDoubles);
+    AlignedVector<double> chunkSums(k * sumsStride);
+    AlignedVector<double> sums(k * sumsStride);
+    std::vector<std::uint32_t> counts(k);
 
     double prev_inertia = std::numeric_limits<double>::max();
 
@@ -146,54 +376,89 @@ kMeans(const Matrix &points, const KMeansConfig &cfg)
 
         // ||C||^2 once per iteration: the Eq. 1 reusable term of the
         // assignment's batched norm decomposition.
-        std::vector<float> cnorm = centroidNorms(kern, res.centroids);
+        centroidNorms(kern, res.centroids, cnorm);
+        double cmax = 0;
+        bool inRange = true;
+        for (float c : cnorm) {
+            inRange = inRange && c < kPruneRange;
+            cmax = std::max(cmax, double(c));
+        }
+        if (inRange)
+            table.build(kern, res.centroids);
+        const Assigner assign{kern, res.centroids, cnorm, bounds,
+                              inRange ? &table : nullptr, cmax};
 
-        // Assign (the hot O(n * k * d) step): each chunk writes its
-        // slice of the assignment and accumulates private sums.
-        AssignPartial init;
-        init.sums.assign(cfg.clusters * dim, 0.0);
-        init.counts.assign(cfg.clusters, 0);
-        AssignPartial total = parallel::parallelReduce(
-            0, points.rows(), grain, std::move(init),
+        // Assign (the hot step): each chunk writes its slice of the
+        // assignment and its inertia partial.
+        parallel::parallelFor(
+            0, n, grain,
             [&](std::size_t b, std::size_t e) {
-                AssignPartial p;
-                p.sums.assign(cfg.clusters * dim, 0.0);
-                p.counts.assign(cfg.clusters, 0);
-                std::vector<float> dots;
+                float *dots = chunkDots.data() + b / grain * dotsStride;
+                std::uint32_t *ids =
+                    chunkIds.data() + b / grain * kNeighbours;
+                double inertia = 0;
                 for (std::size_t i = b; i < e; ++i) {
-                    auto row = points.row(i);
-                    NearestHit hit = nearestByDecomposition(
-                        kern, res.centroids, cnorm, row, dots);
-                    std::uint32_t c = hit.index;
-                    res.assignment[i] = c;
-                    float qn = kern.normSq(row.data(), dim);
-                    p.inertia += std::max(qn + hit.score, 0.0f);
-                    ++p.counts[c];
-                    for (std::size_t d = 0; d < dim; ++d)
-                        p.sums[c * dim + d] += row[d];
+                    const float *x = points.row(i).data();
+                    const float qn = kern.normSq(x, dim);
+                    NearestHit hit = assign.nearest(
+                        x, qn, res.assignment[i], dots, ids);
+                    res.assignment[i] = hit.index;
+                    inertia += std::max(qn + hit.score, 0.0f);
                 }
-                return p;
-            },
-            [](AssignPartial acc, AssignPartial p) {
-                for (std::size_t j = 0; j < acc.sums.size(); ++j)
-                    acc.sums[j] += p.sums[j];
-                for (std::size_t c = 0; c < acc.counts.size(); ++c)
-                    acc.counts[c] += p.counts[c];
-                acc.inertia += p.inertia;
-                return acc;
+                chunkInertia[b / grain] = inertia;
             },
             cfg.parallel);
-        double inertia = total.inertia;
+        double inertia = 0;
+        for (double p : chunkInertia)
+            inertia += p;
         res.inertia = inertia;
 
+        // Cluster sums: each (cluster, dim) element sums every chunk's
+        // members in point order into a zeroed chunk buffer, then
+        // folds that into the total in chunk order. Dimension ranges
+        // split the work, so the adds are the same at any thread
+        // count.
+        std::fill(sums.begin(), sums.end(), 0.0);
+        const unsigned threads = cfg.parallel.resolved();
+        const std::size_t dimGrain =
+            roundUp((dim + threads - 1) / threads, kLineDoubles);
+        parallel::parallelFor(
+            0, dim, dimGrain,
+            [&](std::size_t d0, std::size_t d1) {
+                for (std::size_t b = 0; b < n; b += grain) {
+                    for (std::size_t c = 0; c < k; ++c) {
+                        std::fill_n(chunkSums.begin() + c * sumsStride + d0,
+                                    d1 - d0, 0.0);
+                    }
+                    for (std::size_t i = b; i < std::min(n, b + grain);
+                         ++i) {
+                        const float *x = points.row(i).data();
+                        double *s = chunkSums.data() +
+                                    res.assignment[i] * sumsStride;
+                        for (std::size_t d = d0; d < d1; ++d)
+                            s[d] += x[d];
+                    }
+                    for (std::size_t c = 0; c < k; ++c) {
+                        const double *from = chunkSums.data() + c * sumsStride;
+                        double *to = sums.data() + c * sumsStride;
+                        for (std::size_t d = d0; d < d1; ++d)
+                            to[d] += from[d];
+                    }
+                }
+            },
+            cfg.parallel);
+        std::fill(counts.begin(), counts.end(), 0u);
+        for (std::uint32_t c : res.assignment)
+            ++counts[c];
+
         // Update.
-        for (std::size_t c = 0; c < cfg.clusters; ++c) {
-            if (total.counts[c] == 0)
+        for (std::size_t c = 0; c < k; ++c) {
+            if (counts[c] == 0)
                 continue; // keep the old centroid for empty clusters
             auto row = res.centroids.row(c);
             for (std::size_t d = 0; d < dim; ++d) {
-                row[d] = static_cast<float>(total.sums[c * dim + d] /
-                                            total.counts[c]);
+                row[d] = static_cast<float>(sums[c * sumsStride + d] /
+                                            counts[c]);
             }
         }
 

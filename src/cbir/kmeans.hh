@@ -5,7 +5,10 @@
  * kd-trees or k-means during the off-line stage").
  *
  * k-means++ seeding followed by Lloyd iterations; deterministic for a
- * given seed.
+ * given seed. Both loops skip the distance evaluations a triangle
+ * bound, widened by a rounding bound, proves cannot change the result,
+ * so the output is bit-identical to scoring every (point, centroid)
+ * pair (DESIGN §4p).
  */
 
 #ifndef REACH_CBIR_KMEANS_HH
@@ -29,8 +32,8 @@ struct KMeansConfig
     double tolerance = 1e-4;
     std::uint64_t seed = 7;
     /**
-     * Threads for the Lloyd assignment step. The decomposition (and
-     * therefore the result) does not depend on the thread count.
+     * Threads for the Lloyd iterations (seeding is serial). The
+     * result does not depend on the thread count.
      */
     parallel::ParallelConfig parallel{};
 };

@@ -46,9 +46,6 @@ EventQueue::schedule(Tick when, Callback cb, EventPriority prio,
     }
     Slot &s = slots[slot];
     s.cb = std::move(cb);
-#ifndef NDEBUG
-    s.name = std::move(name);
-#endif
 
     // prioSeq packs the same-tick ordering key into one word; see the
     // header for the bit budget. Priorities are small non-negative
@@ -86,9 +83,6 @@ EventQueue::releaseSlot(std::uint32_t slot)
 {
     Slot &s = slots[slot];
     s.cb = nullptr;
-#ifndef NDEBUG
-    s.name.clear();
-#endif
     ++s.gen;
     freeSlots.push_back(slot);
 }

@@ -7,14 +7,14 @@
  * insertion order, so simulations are fully deterministic.
  *
  * Hot-path layout: the binary heap holds 24-byte POD entries (tick,
- * packed priority|sequence, slot index, generation); callbacks — and,
- * in debug builds, event names — live in a pooled slot arena recycled
- * through a free list, so steady-state scheduling performs no heap
- * allocation beyond what the callback's own closure needs. A
- * per-slot generation counter makes deschedule() O(1) with no
- * hashing: cancelling bumps the generation, and stale heap entries
- * are dropped when they surface — or in bulk by a lazy compaction
- * pass once they outnumber the live ones.
+ * packed priority|sequence, slot index, generation); callbacks live
+ * in a pooled slot arena recycled through a free list, so
+ * steady-state scheduling performs no heap allocation beyond what the
+ * callback's own closure needs. The layout is the same with and
+ * without NDEBUG. A per-slot generation counter makes deschedule()
+ * O(1) with no hashing: cancelling bumps the generation, and stale
+ * heap entries are dropped when they surface — or in bulk by a lazy
+ * compaction pass once they outnumber the live ones.
  */
 
 #ifndef REACH_SIM_EVENT_QUEUE_HH
@@ -60,8 +60,8 @@ class EventQueue
      * @param when  Absolute tick; must not be before the current tick.
      * @param cb    Callback to invoke.
      * @param prio  Same-tick ordering class.
-     * @param name  Optional label used in error messages (retained
-     *              only in debug builds).
+     * @param name  Optional label for the past-tick panic message; not
+     *              retained.
      * @return Event id usable with deschedule(). Ids are unique among
      *         pending events but are recycled over time; they are
      *         *not* monotonically increasing.
@@ -147,9 +147,6 @@ class EventQueue
     {
         Callback cb;
         std::uint32_t gen = 0;
-#ifndef NDEBUG
-        std::string name;
-#endif
     };
 
     /** Compact once stale entries dominate a heap at least this big. */

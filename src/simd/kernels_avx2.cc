@@ -9,7 +9,11 @@
  * accumulator chain over d, a fixed-order horizontal sum, then a
  * scalar tail for d % 8 — the batch kernels run the *same* per-row
  * sequence (just interleaved across rows for ILP), which is what
- * makes the cross-kernel bitwise invariants in simd.hh hold.
+ * makes the cross-kernel bitwise invariants in simd.hh hold. Each
+ * tail step is an explicit std::fma: a plain `s += a * b` is fused or
+ * not at the compiler's choice (GCC fused it at -O2, fused it in only
+ * some tails at -O3 and not at all at -O0), so its bits would depend
+ * on the build type.
  */
 
 #include "simd/kernels.hh"
@@ -61,7 +65,7 @@ dotAvx2(const float *a, const float *b, std::size_t d)
     }
     float s = hsum256(acc);
     for (; t < d; ++t)
-        s += a[t] * b[t];
+        s = std::fma(a[t], b[t], s);
     return s;
 }
 
@@ -78,7 +82,7 @@ l2sqAvx2(const float *a, const float *b, std::size_t d)
     float s = hsum256(acc);
     for (; t < d; ++t) {
         float diff = a[t] - b[t];
-        s += diff * diff;
+        s = std::fma(diff, diff, s);
     }
     return s;
 }
@@ -100,7 +104,7 @@ axpyAvx2(float alpha, const float *x, float *y, std::size_t d)
         _mm256_storeu_ps(y + t, vy);
     }
     for (; t < d; ++t)
-        y[t] += alpha * x[t];
+        y[t] = std::fma(alpha, x[t], y[t]);
 }
 
 /**
@@ -132,10 +136,10 @@ dotBatchAvx2(const float *q, const float *rows, std::size_t n,
         float s2 = hsum256(a2), s3 = hsum256(a3);
         for (; t < d; ++t) {
             float qv = q[t];
-            s0 += qv * r0[t];
-            s1 += qv * r1[t];
-            s2 += qv * r2[t];
-            s3 += qv * r3[t];
+            s0 = std::fma(qv, r0[t], s0);
+            s1 = std::fma(qv, r1[t], s1);
+            s2 = std::fma(qv, r2[t], s2);
+            s3 = std::fma(qv, r3[t], s3);
         }
         out[r] = s0;
         out[r + 1] = s1;
@@ -175,10 +179,10 @@ dotIdxAvx2(const float *q, const float *base, const std::uint32_t *ids,
         float s2 = hsum256(a2), s3 = hsum256(a3);
         for (; t < d; ++t) {
             float qv = q[t];
-            s0 += qv * r0[t];
-            s1 += qv * r1[t];
-            s2 += qv * r2[t];
-            s3 += qv * r3[t];
+            s0 = std::fma(qv, r0[t], s0);
+            s1 = std::fma(qv, r1[t], s1);
+            s2 = std::fma(qv, r2[t], s2);
+            s3 = std::fma(qv, r3[t], s3);
         }
         out[r] = s0;
         out[r + 1] = s1;
@@ -431,14 +435,14 @@ gemmNtAvx2(const float *a, std::size_t n, const float *b,
             float s12 = hsum256(p12), s13 = hsum256(p13);
             for (; t < d; ++t) {
                 float v0 = a0[t], v1 = a1[t];
-                s00 += v0 * b0[t];
-                s01 += v0 * b1[t];
-                s02 += v0 * b2[t];
-                s03 += v0 * b3[t];
-                s10 += v1 * b0[t];
-                s11 += v1 * b1[t];
-                s12 += v1 * b2[t];
-                s13 += v1 * b3[t];
+                s00 = std::fma(v0, b0[t], s00);
+                s01 = std::fma(v0, b1[t], s01);
+                s02 = std::fma(v0, b2[t], s02);
+                s03 = std::fma(v0, b3[t], s03);
+                s10 = std::fma(v1, b0[t], s10);
+                s11 = std::fma(v1, b1[t], s11);
+                s12 = std::fma(v1, b2[t], s12);
+                s13 = std::fma(v1, b3[t], s13);
             }
             c0[j] = s00;
             c0[j + 1] = s01;

@@ -17,10 +17,12 @@
  * parallel.hh): for a *fixed backend* every kernel is a pure function
  * of its inputs — per-row/per-pair arithmetic never depends on where
  * the row sits inside a batch or tile, so chunked parallel callers
- * stay bitwise identical at 1 and N threads. Across backends results
- * agree only to rounding tolerance (different accumulation orders and
- * FMA contraction), which is why reproducibility-sensitive runs pin
- * the backend.
+ * stay bitwise identical at 1 and N threads. On x86-64 they are also
+ * identical across build types: the avx2 tails use explicit fma, and
+ * the generic-target scalar code has no fma to contract into. Across
+ * backends results agree only to rounding tolerance (different
+ * accumulation orders and FMA contraction), which is why
+ * reproducibility-sensitive runs pin the backend.
  *
  * Cross-kernel invariants each backend upholds (tests assert them
  * bitwise):
