@@ -52,17 +52,6 @@ Link::reserve(std::uint64_t bytes, sim::Tick at)
     return start + dur + cfg.latency;
 }
 
-sim::Tick
-Link::transfer(std::uint64_t bytes, std::function<void(sim::Tick)> on_done)
-{
-    sim::Tick done = reserve(bytes, now());
-    if (on_done) {
-        schedule(done, [this, on_done] { on_done(now()); },
-                 sim::EventPriority::Default, "deliver");
-    }
-    return done;
-}
-
 double
 Link::utilization() const
 {

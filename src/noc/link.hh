@@ -14,7 +14,7 @@
 #define REACH_NOC_LINK_HH
 
 #include <cstdint>
-#include <functional>
+#include <string>
 
 #include "fault/fault.hh"
 #include "sim/interval_resource.hh"
@@ -42,15 +42,6 @@ class Link : public sim::SimObject
   public:
     Link(sim::Simulator &sim, const std::string &name,
          const LinkConfig &cfg);
-
-    /**
-     * Move @p bytes across the link.
-     *
-     * @param on_done Called at delivery time of the last byte.
-     * @return the delivery tick.
-     */
-    sim::Tick transfer(std::uint64_t bytes,
-                       std::function<void(sim::Tick)> on_done = nullptr);
 
     /**
      * Compute when a transfer of @p bytes starting no earlier than

@@ -7,13 +7,21 @@
  * reservations made far in the future by unrelated requesters. This
  * allocator keeps the set of busy intervals and places each new
  * reservation into the earliest gap at or after its request time.
+ *
+ * The busy intervals live in one vector, sorted by start, disjoint
+ * and never touching (adjacent intervals are merged). Entries before
+ * `head` have ended and are dead; pruning only advances `head`, and
+ * the dead prefix is dropped once it is both long and at least half
+ * of the vector.
  */
 
 #ifndef REACH_SIM_INTERVAL_RESOURCE_HH
 #define REACH_SIM_INTERVAL_RESOURCE_HH
 
 #include <algorithm>
-#include <map>
+#include <cstddef>
+#include <utility>
+#include <vector>
 
 #include "types.hh"
 
@@ -36,44 +44,10 @@ class IntervalResource
         if (duration == 0)
             return at;
 
-        while (!busy.empty() && busy.begin()->second <= now)
-            busy.erase(busy.begin());
-
-        // Earliest-gap placement. Busy intervals are disjoint and
-        // sorted by start, so their ends are sorted too: every interval
-        // before the last one starting at or before `at` ends by `at`,
-        // and the scan can begin there.
-        auto first = busy.upper_bound(at);
-        if (first != busy.begin() && std::prev(first)->second > at)
-            --first;
-        Tick start = at;
-        for (auto it = first; it != busy.end(); ++it) {
-            auto [s, e] = *it;
-            if (e <= start)
-                continue;
-            if (s >= start + duration)
-                break;
-            start = std::max(start, e);
-        }
-
-        // Insert, merging with adjacent intervals.
-        Tick merged_start = start;
-        Tick merged_end = start + duration;
-        auto next = busy.lower_bound(merged_start);
-        if (next != busy.begin()) {
-            auto prev = std::prev(next);
-            if (prev->second == merged_start) {
-                merged_start = prev->first;
-                busy.erase(prev);
-                next = busy.lower_bound(merged_start);
-            }
-        }
-        if (next != busy.end() && next->first == merged_end) {
-            merged_end = next->second;
-            busy.erase(next);
-        }
-        busy.emplace(merged_start, merged_end);
-
+        prune(now);
+        Tick start = busy.empty() || busy.back().second <= at
+                         ? appendAt(at, duration)
+                         : insertInGap(at, duration);
         lastEnd = std::max(lastEnd, start + duration);
         return start;
     }
@@ -81,10 +55,99 @@ class IntervalResource
     /** Tick after the last reservation granted so far. */
     Tick freeAt() const { return lastEnd; }
 
-    std::size_t pendingIntervals() const { return busy.size(); }
+    /** Busy intervals still live (not yet pruned). */
+    std::size_t pendingIntervals() const { return busy.size() - head; }
 
   private:
-    std::map<Tick, Tick> busy;
+    using Interval = std::pair<Tick, Tick>;
+    using Iter = std::vector<Interval>::iterator;
+
+    /** Dead prefix length worth compacting (when also half the vector). */
+    static constexpr std::size_t compactAt = 32;
+
+    /**
+     * Drop the intervals that ended by @p now. Ends are sorted like
+     * starts, so they are a prefix of the live range; an empty live
+     * range leaves an empty vector.
+     */
+    void
+    prune(Tick now)
+    {
+        while (head < busy.size() && busy[head].second <= now)
+            ++head;
+        if (head == busy.size()) {
+            busy.clear();
+            head = 0;
+        } else if (head >= compactAt && 2 * head >= busy.size()) {
+            busy.erase(busy.begin(),
+                       busy.begin() + static_cast<std::ptrdiff_t>(head));
+            head = 0;
+        }
+    }
+
+    /**
+     * Tail fast path: every live interval ends by @p at, so the grant
+     * starts at @p at and either extends the last interval (it ends
+     * exactly there) or follows it.
+     */
+    Tick
+    appendAt(Tick at, Tick duration)
+    {
+        if (!busy.empty() && busy.back().second == at)
+            busy.back().second = at + duration;
+        else
+            busy.emplace_back(at, at + duration);
+        return at;
+    }
+
+    /** Earliest-gap placement among the live intervals, then merge. */
+    Tick
+    insertInGap(Tick at, Tick duration)
+    {
+        Iter live = busy.begin() + static_cast<std::ptrdiff_t>(head);
+        auto startsAfter = [](Tick t, const Interval &iv) {
+            return t < iv.first;
+        };
+
+        // Busy intervals are disjoint and sorted by start, so their
+        // ends are sorted too: every interval before the last one
+        // starting at or before `at` ends by `at`, and the scan can
+        // begin there.
+        Iter first = std::upper_bound(live, busy.end(), at, startsAfter);
+        if (first != live && std::prev(first)->second > at)
+            --first;
+        Tick start = at;
+        for (Iter it = first; it != busy.end(); ++it) {
+            if (it->second <= start)
+                continue;
+            if (it->first >= start + duration)
+                break;
+            start = std::max(start, it->second);
+        }
+
+        // No live interval starts at `start` (the grant is free), so
+        // `next` is the first one after it and `next - 1` the last one
+        // before it.
+        Tick end = start + duration;
+        Iter next = std::upper_bound(first, busy.end(), start, startsAfter);
+        bool joins_prev = next != live && std::prev(next)->second == start;
+        bool joins_next = next != busy.end() && next->first == end;
+        if (joins_prev && joins_next) {
+            std::prev(next)->second = next->second;
+            busy.erase(next);
+        } else if (joins_prev) {
+            std::prev(next)->second = end;
+        } else if (joins_next) {
+            next->first = start;
+        } else {
+            busy.insert(next, Interval{start, end});
+        }
+        return start;
+    }
+
+    std::vector<Interval> busy;
+    /** Index of the first live interval. */
+    std::size_t head = 0;
     Tick lastEnd = 0;
 };
 

@@ -11,7 +11,6 @@ Ssd::Ssd(sim::Simulator &sim, const std::string &name,
          const SsdConfig &config)
     : sim::SimObject(sim, name),
       cfg(config),
-      channels(config.flashChannels),
       statReadBytes(name + ".readBytes", "bytes read from flash"),
       statWriteBytes(name + ".writeBytes", "bytes written to flash"),
       statCommands(name + ".commands", "NVMe commands processed"),
@@ -48,17 +47,14 @@ Ssd::reserve(std::uint64_t bytes, bool write, sim::Tick at)
     sim::Tick media_latency = write ? cfg.writeLatency : cfg.readLatency;
     sim::Tick start = at + retry + cfg.commandOverhead;
 
-    // Stripe evenly across flash channels; completion is the slowest
-    // channel's finish time plus the media first-access latency.
+    // Stripe evenly across flash channels. Every channel gets this
+    // same reservation, so one schedule stands for all of them and
+    // completion is their common finish plus the media first-access
+    // latency.
     std::uint64_t per_channel =
         (bytes + cfg.flashChannels - 1) / cfg.flashChannels;
     sim::Tick ser = sim::transferTicks(per_channel, cfg.channelBandwidth);
-
-    sim::Tick done = 0;
-    for (auto &channel : channels) {
-        sim::Tick ch_start = channel.reserve(ser, start, now());
-        done = std::max(done, ch_start + ser);
-    }
+    sim::Tick done = flash.reserve(ser, start, now()) + ser;
 
     statActive += static_cast<double>(ser);
     if (write)
@@ -67,17 +63,6 @@ Ssd::reserve(std::uint64_t bytes, bool write, sim::Tick at)
         statReadBytes += static_cast<double>(bytes);
 
     return done + media_latency;
-}
-
-void
-Ssd::access(std::uint64_t bytes, bool write,
-            std::function<void(sim::Tick)> on_done)
-{
-    sim::Tick done = reserve(bytes, write, now());
-    if (on_done) {
-        schedule(done, [this, on_done] { on_done(now()); },
-                 sim::EventPriority::Default, "ssdDone");
-    }
 }
 
 double

@@ -8,14 +8,18 @@
  * acceleration exploits (paper §II-C). The drive itself is a passive
  * model: callers reserve flash time and connect the result to either
  * the host PCIe path or the accelerator-local FPGA link.
+ *
+ * Every command is striped evenly over all channels, so each channel
+ * receives the same reservation, ceil(bytes / flashChannels) bytes
+ * wide, at the same time: the channels move in lockstep and one
+ * schedule stands for all of them.
  */
 
 #ifndef REACH_STORAGE_SSD_HH
 #define REACH_STORAGE_SSD_HH
 
 #include <cstdint>
-#include <functional>
-#include <vector>
+#include <string>
 
 #include "fault/fault.hh"
 #include "sim/interval_resource.hh"
@@ -66,10 +70,6 @@ class Ssd : public sim::SimObject
      */
     sim::Tick reserve(std::uint64_t bytes, bool write, sim::Tick at);
 
-    /** Event-scheduling convenience over reserve(). */
-    void access(std::uint64_t bytes, bool write,
-                std::function<void(sim::Tick)> on_done);
-
     std::uint64_t bytesRead() const
     {
         return static_cast<std::uint64_t>(statReadBytes.value());
@@ -102,8 +102,8 @@ class Ssd : public sim::SimObject
 
   private:
     SsdConfig cfg;
-    /** Per-flash-channel reservation schedule (gap-filling). */
-    std::vector<sim::IntervalResource> channels;
+    /** Reservation schedule (gap-filling) shared by every channel. */
+    sim::IntervalResource flash;
     fault::FaultInjector *faultInj = nullptr;
 
     sim::Scalar statReadBytes;

@@ -66,16 +66,6 @@ TEST(Link, IdleGapNotCharged)
     EXPECT_EQ(done, 50'000'000u + 1'000'000u);
 }
 
-TEST(Link, TransferSchedulesCallback)
-{
-    sim::Simulator sim;
-    Link l(sim, "l", cfg(1e9, 250));
-    sim::Tick done = 0;
-    l.transfer(500, [&](sim::Tick t) { done = t; });
-    sim.run();
-    EXPECT_EQ(done, 500'000u + 250u);
-}
-
 TEST(Link, ZeroBandwidthIsFatal)
 {
     sim::Simulator sim;

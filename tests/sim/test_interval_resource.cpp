@@ -192,3 +192,133 @@ TEST_P(IntervalProperty, MatchesBeginScanReference)
             << "reservation " << i;
     }
 }
+
+namespace
+{
+
+/** Make the same reservation on both and require the same outcome. */
+::testing::AssertionResult
+sameGrant(IntervalResource &r, BeginScanReference &ref, Tick dur, Tick at,
+          Tick now)
+{
+    Tick got = r.reserve(dur, at, now);
+    Tick want = ref.reserve(dur, at, now);
+    if (got != want)
+        return ::testing::AssertionFailure()
+               << "reserve(" << dur << ", " << at << ", " << now
+               << ") granted " << got << ", reference " << want;
+    if (r.freeAt() != ref.freeAt() ||
+        r.pendingIntervals() != ref.pendingIntervals())
+        return ::testing::AssertionFailure()
+               << "after reserve(" << dur << ", " << at << ", " << now
+               << "): freeAt " << r.freeAt() << " vs " << ref.freeAt()
+               << ", pending " << r.pendingIntervals() << " vs "
+               << ref.pendingIntervals();
+    return ::testing::AssertionSuccess();
+}
+
+} // namespace
+
+TEST_P(IntervalProperty, BulkPruneMatchesReference)
+{
+    Rng rng(static_cast<std::uint64_t>(GetParam()) * 13 + 5);
+    // One call prunes a few dozen intervals, one prunes over a
+    // thousand; some leave a short live tail (the dead prefix is
+    // compacted), some a long one (it is kept and pruned later).
+    for (std::size_t intervals : {40u, 70u, 1200u, 2500u}) {
+        IntervalResource r;
+        BeginScanReference ref;
+        // Disjoint, non-touching intervals, each at [20i, 20i + d).
+        for (std::size_t i = 0; i < intervals; ++i) {
+            ASSERT_TRUE(sameGrant(r, ref, 1 + rng.nextUInt(10),
+                                  Tick(20 * i), 0));
+        }
+        ASSERT_EQ(r.pendingIntervals(), intervals);
+
+        std::size_t pruned = 33 + rng.nextUInt(intervals - 34);
+        if (intervals > 1000)
+            pruned = 1001 + rng.nextUInt(intervals - 1002);
+        // [now + 12, now + 15) touches no interval.
+        Tick now = Tick(20 * pruned);
+        ASSERT_TRUE(sameGrant(r, ref, 3, now + 12, now));
+        ASSERT_EQ(r.pendingIntervals(), intervals - pruned + 1)
+            << intervals << " intervals, " << pruned << " pruned";
+
+        // Keep going over the compacted (or not) vector.
+        for (int i = 0; i < 3000; ++i) {
+            now += rng.nextUInt(12);
+            Tick at = now + rng.nextUInt(400);
+            ASSERT_TRUE(sameGrant(r, ref, 1 + rng.nextUInt(15), at, now))
+                << "step " << i;
+        }
+        // Everything ends: the vector empties and starts over.
+        now = r.freeAt();
+        ASSERT_TRUE(sameGrant(r, ref, 7, now, now));
+        EXPECT_EQ(r.pendingIntervals(), 1u);
+    }
+}
+
+TEST_P(IntervalProperty, TailReservationsMatchReference)
+{
+    IntervalResource r;
+    BeginScanReference ref;
+    Rng rng(static_cast<std::uint64_t>(GetParam()) * 41 + 11);
+    Tick now = 0;
+    std::size_t joins = 0;
+    std::size_t appends = 0;
+    for (int i = 0; i < 4000; ++i) {
+        Tick dur = 1 + rng.nextUInt(30);
+        Tick at = r.freeAt();
+        // Mostly back-to-back (the last interval grows in place),
+        // sometimes after a gap (a new interval is appended).
+        if (rng.nextUInt(4) == 0)
+            at += 1 + rng.nextUInt(20);
+        now = std::max(now, at > 200 ? at - rng.nextUInt(200) : 0);
+        bool joins_last = at == r.freeAt() && now < at && at > 0;
+        std::size_t before = r.pendingIntervals();
+        ASSERT_TRUE(sameGrant(r, ref, dur, at, now)) << "step " << i;
+        EXPECT_EQ(r.freeAt(), at + dur);
+        if (joins_last) {
+            EXPECT_LE(r.pendingIntervals(), before) << "step " << i;
+            ++joins;
+        } else {
+            ++appends;
+        }
+    }
+    EXPECT_GT(joins, 1000u);
+    EXPECT_GT(appends, 500u);
+}
+
+TEST_P(IntervalProperty, ExactGapFillMergesBothNeighbours)
+{
+    IntervalResource r;
+    BeginScanReference ref;
+    Rng rng(static_cast<std::uint64_t>(GetParam()) * 59 + 17);
+    // A row of intervals separated by gaps of known width, all in the
+    // future so nothing is pruned.
+    std::vector<std::pair<Tick, Tick>> gaps;
+    Tick t = 1000;
+    for (int i = 0; i < 200; ++i) {
+        Tick dur = 1 + rng.nextUInt(40);
+        ASSERT_TRUE(sameGrant(r, ref, dur, t, 0));
+        Tick gap = 1 + rng.nextUInt(40);
+        gaps.push_back({t + dur, gap});
+        t += dur + gap;
+    }
+    gaps.pop_back(); // the last "gap" is open-ended
+    // Fill the gaps in random order, each with a request for exactly
+    // its start and width: the grant joins both neighbours.
+    for (std::size_t i = gaps.size(); i > 1; --i)
+        std::swap(gaps[i - 1], gaps[rng.nextUInt(i)]);
+    for (auto [start, width] : gaps) {
+        std::size_t before = r.pendingIntervals();
+        ASSERT_EQ(r.reserve(width, start, 0), start);
+        ASSERT_EQ(ref.reserve(width, start, 0), start);
+        ASSERT_EQ(r.pendingIntervals(), before - 1);
+        ASSERT_EQ(r.pendingIntervals(), ref.pendingIntervals());
+    }
+    EXPECT_EQ(r.pendingIntervals(), 1u);
+    // The gap in front of the first interval is still open.
+    EXPECT_TRUE(sameGrant(r, ref, 10, 0, 0));
+    EXPECT_EQ(r.pendingIntervals(), 2u);
+}
