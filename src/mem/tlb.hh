@@ -47,7 +47,10 @@ class Tlb : public sim::SimObject
      * returns the summed latency. Hit and miss counts, resident set
      * and recency order end up exactly as after the equivalent
      * sequence of translate() calls, but a range that touches no
-     * resident page costs O(entries) instead of O(steps).
+     * resident page costs O(entries) instead of O(steps). A dense
+     * range that continues the last one, as a streaming cursor does,
+     * or that spans at least `entries` pages, costs O(1) once
+     * streamed pages fill the TLB.
      */
     sim::Tick translateRange(Addr first, std::uint64_t steps,
                              std::uint64_t stride);
@@ -64,9 +67,23 @@ class Tlb : public sim::SimObject
     }
 
   private:
+    /** Whether a resident page lies in [first_page, last_page]. */
+    bool residentIn(std::uint64_t first_page,
+                    std::uint64_t last_page) const;
+    /** Write the run into `lru`, leaving the run empty. */
+    void settleRun();
+
     TlbConfig cfg;
-    /** Resident page numbers, most recent first; at most `entries`. */
+    /**
+     * The resident pages, most recent first, are the run
+     * runTop, runTop - 1, ..., runTop - runLen + 1 followed by the
+     * first `entries - runLen` pages of `lru`; the two never share a
+     * page. Only dense ranges of non-resident pages grow or replace
+     * the run; every other call settles it into `lru` first.
+     */
     std::vector<std::uint64_t> lru;
+    std::uint64_t runTop = 0;
+    std::uint64_t runLen = 0;
 
     sim::Scalar statHits;
     sim::Scalar statMisses;

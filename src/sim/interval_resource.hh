@@ -47,6 +47,8 @@ class IntervalResource
         prune(now);
         Tick start = busy.empty() || busy.back().second <= at
                          ? appendAt(at, duration)
+                     : busy.back().first <= at
+                         ? queueBehindLast(duration)
                          : insertInGap(at, duration);
         lastEnd = std::max(lastEnd, start + duration);
         return start;
@@ -98,6 +100,19 @@ class IntervalResource
         else
             busy.emplace_back(at, at + duration);
         return at;
+    }
+
+    /**
+     * Queue-behind fast path: the last interval covers @p at, so
+     * everything from @p at to its end is busy and nothing follows
+     * it. The grant starts where it ends and extends it in place.
+     */
+    Tick
+    queueBehindLast(Tick duration)
+    {
+        Tick start = busy.back().second;
+        busy.back().second = start + duration;
+        return start;
     }
 
     /** Earliest-gap placement among the live intervals, then merge. */

@@ -3,11 +3,14 @@
  * Work counts of the Figure-13 runs. SimWorkCounts pins, for the 12
  * batches fig13 runs under each mapping, how many events the
  * simulator executes, how many link reservations are made and how
- * many SSD commands are issued. A change to how a reservation is
- * placed (the interval allocator, the SSD's flash schedule) must
- * leave all three alone; a change that makes the simulator do more or
- * less work moves them. The values were recorded before the flat
- * interval allocator replaced the map-based one.
+ * many SSD commands are issued, plus the accelerator TLB's hits and
+ * misses. A change to how a reservation is placed (the interval
+ * allocator, the SSD's flash schedule) or to how the TLB records its
+ * resident pages must leave them all alone; a change that makes the
+ * simulator do more or less work moves them. The event, transfer and
+ * command values were recorded before the flat interval allocator
+ * replaced the map-based one, the TLB values before the streaming run
+ * replaced the per-chunk LRU rebuild.
  */
 
 #include <gtest/gtest.h>
@@ -28,6 +31,22 @@ struct WorkCounts
     std::uint64_t linkTransfers;
     std::uint64_t ssdCommands;
 };
+
+struct TlbCounts
+{
+    std::uint64_t hits;
+    std::uint64_t misses;
+};
+
+/* Kept out of WorkCounts so the parameter, and with it the name the
+ * suite prints for each case, stays as it was. */
+TlbCounts
+recordedTlbCounts(core::Mapping mapping)
+{
+    if (mapping == core::Mapping::OnChipOnly)
+        return {0, 1'613'568};
+    return {0, 0};
+}
 
 std::uint64_t
 statValue(core::ReachSystem &sys, const std::string &name)
@@ -80,6 +99,9 @@ TEST_P(SimWorkCounts, TwelveBatchesMatchRecordedCounts)
     EXPECT_EQ(sys.simulator().eventsExecuted(), w.events);
     EXPECT_EQ(linkTransfers(sys), w.linkTransfers);
     EXPECT_EQ(ssdCommands(sys), w.ssdCommands);
+    const TlbCounts tlb = recordedTlbCounts(w.mapping);
+    EXPECT_EQ(statValue(sys, "accTlb.hits"), tlb.hits);
+    EXPECT_EQ(statValue(sys, "accTlb.misses"), tlb.misses);
 }
 
 INSTANTIATE_TEST_SUITE_P(

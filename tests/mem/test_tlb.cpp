@@ -177,3 +177,136 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(1u, 4u, 64u),
                        ::testing::Values(1024ull, 4096ull,
                                          2ull << 20)));
+
+namespace
+{
+
+/** Make the same range call on both TLBs and require the same outcome. */
+::testing::AssertionResult
+sameRange(Tlb &ranged, Tlb &stepped, Addr first, std::uint64_t steps,
+          std::uint64_t stride, std::set<std::uint64_t> &touched,
+          std::uint64_t page_bytes)
+{
+    sim::Tick expect = 0;
+    for (std::uint64_t i = 0; i < steps; ++i) {
+        expect += stepped.translate(first + i * stride);
+        touched.insert((first + i * stride) / page_bytes);
+    }
+    sim::Tick got = ranged.translateRange(first, steps, stride);
+    if (got != expect || ranged.hitCount() != stepped.hitCount() ||
+        ranged.missCount() != stepped.missCount())
+        return ::testing::AssertionFailure()
+               << "translateRange(" << first << ", " << steps << ", "
+               << stride << "): latency " << got << " vs " << expect
+               << ", hits " << ranged.hitCount() << " vs "
+               << stepped.hitCount() << ", misses " << ranged.missCount()
+               << " vs " << stepped.missCount();
+    return ::testing::AssertionSuccess();
+}
+
+} // namespace
+
+/**
+ * The accelerator's input stream: a page-aligned cursor that only
+ * grows, translated one chunk at a time in 4 KiB steps, one step more
+ * than a whole-page chunk spans. Chunks shorter than `entries` pages
+ * extend the newest run of resident pages; longer ones replace it.
+ * Interleaved with them: cursor skips (the next chunk does not
+ * continue the run), single translations inside the run, ranges that
+ * overlap it, sparse-stride and sub-page-stride ranges, and flushes.
+ * Every call is checked against a twin stepped one address at a time.
+ */
+class TlbStreamEquivalence : public ::testing::TestWithParam<std::uint32_t>
+{
+};
+
+TEST_P(TlbStreamEquivalence, MatchesStepwiseTranslation)
+{
+    const std::uint32_t entries = GetParam();
+    constexpr std::uint64_t page = 4096;
+    TlbConfig cfg;
+    cfg.entries = entries;
+    cfg.pageBytes = page;
+    cfg.walkLatency = 100'000;
+
+    sim::Simulator sim;
+    Tlb ranged(sim, "ranged", cfg);
+    Tlb stepped(sim, "stepped", cfg);
+    sim::Rng rng(entries * 7919ull + 1);
+
+    std::set<std::uint64_t> touched;
+    Addr cursor = 0;
+    std::size_t short_chunks = 0;
+    std::size_t long_chunks = 0;
+    for (int op = 0; op < 1500; ++op) {
+        std::uint64_t kind = rng.nextUInt(20);
+        if (kind < 12) {
+            bool is_short = rng.nextUInt(2) == 0;
+            std::uint64_t bytes =
+                is_short ? rng.nextUInt((entries - 1) * page + 1)
+                         : entries * page + rng.nextUInt(3 * entries * page);
+            std::uint64_t steps = bytes / page + 1;
+            ++(steps < entries ? short_chunks : long_chunks);
+            ASSERT_TRUE(sameRange(ranged, stepped, cursor, steps, page,
+                                  touched, page))
+                << "op " << op;
+            cursor += steps * page;
+        } else if (kind == 12) {
+            // Skip 1-3 pages: the next chunk starts above a hole.
+            cursor += (1 + rng.nextUInt(3)) * page;
+        } else if (kind == 13 && cursor >= page) {
+            // One of the newest `entries` pages below the cursor.
+            std::uint64_t back =
+                1 + rng.nextUInt(std::min<std::uint64_t>(entries,
+                                                         cursor / page));
+            Addr addr = cursor - back * page + rng.nextUInt(page);
+            touched.insert(addr / page);
+            ASSERT_EQ(ranged.translate(addr), stepped.translate(addr))
+                << "op " << op;
+        } else if (kind == 14 && cursor >= page) {
+            // Starts inside the newest pages and runs past the cursor.
+            std::uint64_t back =
+                1 + rng.nextUInt(std::min<std::uint64_t>(entries + 1,
+                                                         cursor / page));
+            Addr first = cursor - back * page;
+            std::uint64_t steps = 1 + rng.nextUInt(2 * entries + 2);
+            ASSERT_TRUE(sameRange(ranged, stepped, first, steps, page,
+                                  touched, page))
+                << "op " << op;
+            cursor = std::max(cursor, first + steps * page);
+        } else if (kind == 15) {
+            std::uint64_t stride = (2 + rng.nextUInt(3)) * page;
+            std::uint64_t steps = 1 + rng.nextUInt(2 * entries + 2);
+            ASSERT_TRUE(sameRange(ranged, stepped, cursor, steps, stride,
+                                  touched, page))
+                << "op " << op;
+            cursor += steps * stride;
+        } else if (kind == 16) {
+            // Dense but sub-page stride, from mid-page.
+            Addr first = cursor + rng.nextUInt(page);
+            std::uint64_t steps = 1 + rng.nextUInt(4 * entries + 4);
+            ASSERT_TRUE(sameRange(ranged, stepped, first, steps, page / 4,
+                                  touched, page))
+                << "op " << op;
+            cursor = (first + steps * (page / 4)) / page * page + page;
+        } else if (kind == 17) {
+            ranged.flush();
+            stepped.flush();
+        }
+    }
+    if (entries > 1) { // a one-entry TLB has no short chunks
+        EXPECT_GT(short_chunks, 200u);
+    }
+    EXPECT_GT(long_chunks, 200u);
+
+    std::vector<std::uint64_t> probes(touched.begin(), touched.end());
+    for (std::size_t i = probes.size(); i > 1; --i)
+        std::swap(probes[i - 1], probes[rng.nextUInt(i)]);
+    for (std::uint64_t p : probes) {
+        ASSERT_EQ(ranged.translate(p * page), stepped.translate(p * page))
+            << "page " << p;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Entries, TlbStreamEquivalence,
+                         ::testing::Values(1u, 2u, 4u, 64u));

@@ -162,6 +162,8 @@ class BeginScanReference
 
     Tick freeAt() const { return lastEnd; }
     std::size_t pendingIntervals() const { return busy.size(); }
+    /** The latest busy interval; the allocator must hold one. */
+    std::pair<Tick, Tick> lastInterval() const { return *busy.rbegin(); }
 
   private:
     std::map<Tick, Tick> busy;
@@ -321,4 +323,52 @@ TEST_P(IntervalProperty, ExactGapFillMergesBothNeighbours)
     // The gap in front of the first interval is still open.
     EXPECT_TRUE(sameGrant(r, ref, 10, 0, 0));
     EXPECT_EQ(r.pendingIntervals(), 2u);
+}
+
+TEST_P(IntervalProperty, QueueBehindLastMatchesReference)
+{
+    IntervalResource r;
+    BeginScanReference ref;
+    Rng rng(static_cast<std::uint64_t>(GetParam()) * 71 + 23);
+    Tick now = 0;
+    std::size_t queued = 0;
+    std::size_t gap_fills = 0;
+    for (int i = 0; i < 6000; ++i) {
+        now += rng.nextUInt(10);
+        Tick dur = 1 + rng.nextUInt(40);
+        Tick at = now;
+        std::uint64_t kind = rng.nextUInt(8);
+        if (r.pendingIntervals() == 0 || kind < 2) {
+            // Tail append, right behind or after a hole.
+            at = std::max(now, r.freeAt()) + rng.nextUInt(3) * 30;
+        } else {
+            auto [first, end] = ref.lastInterval();
+            if (kind < 6) {
+                // Inside the last interval: at its start, one tick
+                // before its end, or anywhere between.
+                if (kind == 2)
+                    at = first;
+                else if (kind == 3)
+                    at = end - 1;
+                else
+                    at = first + rng.nextUInt(end - first);
+                at = std::max(at, now);
+                queued += at < end;
+            } else if (first > now) {
+                // Before the last interval: a gap, or a queue behind
+                // an earlier interval. Intervals never touch, so the
+                // tick before the last one's start is free.
+                if (kind == 6) {
+                    at = first - 1;
+                    dur = 1 + rng.nextUInt(2);
+                } else {
+                    at = now + rng.nextUInt(first - now);
+                }
+                ++gap_fills;
+            }
+        }
+        ASSERT_TRUE(sameGrant(r, ref, dur, at, now)) << "step " << i;
+    }
+    EXPECT_GT(queued, 1500u);
+    EXPECT_GT(gap_fills, 300u);
 }
