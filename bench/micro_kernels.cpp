@@ -549,10 +549,15 @@ pqCompareFixture()
     return f;
 }
 
-/** PQ-vs-exact on the shared fixture; refine < 0 = exact rerank. */
+/**
+ * PQ-vs-exact on the shared fixture; refine < 0 = exact rerank. The
+ * eight probed clusters hold about 31k vectors on average, so every
+ * query scores exactly @p maxCandidates candidates.
+ */
 void
 rerankPqBench(benchmark::State &state, simd::Choice choice,
-              std::ptrdiff_t refine, bool fourBit = false)
+              std::ptrdiff_t refine, bool fourBit = false,
+              std::size_t maxCandidates = 4096)
 {
     if (!pinBackendOrSkip(state, choice))
         return;
@@ -560,7 +565,7 @@ rerankPqBench(benchmark::State &state, simd::Choice choice,
     const InvertedFileIndex &index = fourBit ? f.idx4 : f.idx;
     RerankConfig rc;
     rc.k = 10;
-    rc.maxCandidates = 4096;
+    rc.maxCandidates = maxCandidates;
     rc.parallel = parallel::ParallelConfig::serial();
     rc.parallel.simd = choice;
     if (refine >= 0) {
@@ -609,6 +614,20 @@ BM_RerankPqRefine(benchmark::State &state, simd::Choice choice)
 }
 BENCHMARK_CAPTURE(BM_RerankPqRefine, scalar, simd::Choice::scalar);
 BENCHMARK_CAPTURE(BM_RerankPqRefine, avx2, simd::Choice::avx2);
+
+/**
+ * 4-bit codes with refine 256 over 368 candidates per query, the
+ * shape the openloop-onchip engine runs (about 369 candidates), where
+ * the refine cut keeps most of what the ADC scan scored.
+ */
+void
+BM_RerankPq4Refine(benchmark::State &state, simd::Choice choice)
+{
+    rerankPqBench(state, choice, 256, /*fourBit=*/true,
+                  /*maxCandidates=*/368);
+}
+BENCHMARK_CAPTURE(BM_RerankPq4Refine, scalar, simd::Choice::scalar);
+BENCHMARK_CAPTURE(BM_RerankPq4Refine, avx2, simd::Choice::avx2);
 
 void
 BM_MiniCnnExtract(benchmark::State &state)

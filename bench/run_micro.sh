@@ -63,9 +63,11 @@ data = json.load(open(sys.argv[1]))
 if data.get("context", {}).get("library_build_type") == "debug":
     print("WARNING: debug google-benchmark library; timings tainted")
 times = {}
+rates = {}
 for b in data.get("benchmarks", []):
     if b.get("run_type") == "iteration" and "error_occurred" not in b:
         times[b["name"]] = b["real_time"]
+        rates[b["name"]] = b.get("items_per_second")
 for base in sorted({n.rsplit("/", 1)[0] for n in times if "/" in n}):
     s, v = times.get(base + "/scalar"), times.get(base + "/avx2")
     if s and v:
@@ -77,6 +79,13 @@ for be in ("scalar", "avx2"):
     pq = times.get(f"BM_RerankPq/{be}")
     if exact and pq:
         print(f"BM_RerankPq/{be}: exact/pq speedup {exact / pq:.2f}x")
+    # 4-bit ADC with exact refine 256 at the openloop-onchip budget
+    # (368 candidates, not 4096): compare candidates per second.
+    exact_rate = rates.get(f"BM_RerankPqExact/{be}")
+    pq4r_rate = rates.get(f"BM_RerankPq4Refine/{be}")
+    if exact_rate and pq4r_rate:
+        print(f"BM_RerankPq4Refine/{be}: pq4-refine/exact time per "
+              f"candidate {exact_rate / pq4r_rate:.2f}")
 # The 4-bit FastScan gate: the register-shuffle ADC kernel must beat
 # the 8-bit gather ADC by >= 3x at the same (n=4096, M=32) shape on
 # avx2, else the FastScan mode is not earning its second code copy.

@@ -1,6 +1,7 @@
 #include "pq.hh"
 
 #include <algorithm>
+#include <array>
 
 #include "cbir/kmeans.hh"
 #include "sim/logging.hh"
@@ -182,8 +183,8 @@ PqCodebook::adcTable(std::span<const float> query, float *lut) const
 }
 
 PqCodebook::AdcQuantParams
-PqCodebook::adcTable4(std::span<const float> query,
-                      std::uint8_t *lut4) const
+PqCodebook::adcTable4(std::span<const float> query, std::uint8_t *lut4,
+                      std::span<float> rows) const
 {
     if (bits != 4)
         sim::panic("PqCodebook::adcTable4: codebook is ", bits,
@@ -191,14 +192,17 @@ PqCodebook::adcTable4(std::span<const float> query,
     if (query.size() != dim())
         sim::panic("PqCodebook::adcTable4: query has ", query.size(),
                    " dims, codebook expects ", dim());
+    if (rows.size() < lutFloats())
+        sim::panic("PqCodebook::adcTable4: ", rows.size(),
+                   " scratch floats, table needs ", lutFloats());
 
     // Float rows first (same arithmetic as adcTable), then one
     // affine map to u8: per-row minimum folds into the bias so the
     // full 0..255 range covers only the spread that matters, and a
     // single shared scale keeps the kernel's sum dequantizable with
-    // one fma.
-    std::vector<float> rows(m * simd::kAdc4LutStride);
-    std::vector<float> lo(m);
+    // one fma. validatePqConfig caps 4-bit m at 256, so the row
+    // minima fit on the stack.
+    std::array<float, 256> lo;
     float range = 0;
     for (std::size_t s = 0; s < m; ++s) {
         float *row = rows.data() + s * simd::kAdc4LutStride;

@@ -170,10 +170,13 @@ class PqCodebook
      * codes can never look near. Fixed scalar loops end to end —
      * table bits and params never depend on backend or threads; the
      * per-entry error is at most half a quantization step, absorbed
-     * by the exact refine stage.
+     * by the exact refine stage. @p rows is caller-owned scratch of
+     * at least lutFloats() floats (clobbered), so a per-query build
+     * allocates nothing.
      */
     AdcQuantParams adcTable4(std::span<const float> query,
-                             std::uint8_t *lut4) const;
+                             std::uint8_t *lut4,
+                             std::span<float> rows) const;
 
   private:
     /**

@@ -1,6 +1,7 @@
 #include "rerank.hh"
 
 #include <algorithm>
+#include <numeric>
 #include <span>
 #include <unordered_set>
 
@@ -14,12 +15,7 @@ namespace reach::cbir
 namespace
 {
 
-/**
- * The K nearest of @p cands via a bounded max-heap scan: O(n log k)
- * instead of the O(n log n)-ish partial sort, and no mutation of the
- * candidate buffer. The (distSq, id) order is total, so the selected
- * set and its order are independent of the scan order.
- */
+/** The (distSq, id) total order every selection in this file uses. */
 bool
 better(const Neighbor &a, const Neighbor &b)
 {
@@ -28,35 +24,15 @@ better(const Neighbor &a, const Neighbor &b)
     return a.id < b.id;
 }
 
-std::vector<Neighbor>
-selectK(const std::vector<Neighbor> &cands, std::size_t k)
-{
-    k = std::min(k, cands.size());
-    if (k == 0)
-        return {};
-    std::vector<Neighbor> heap(
-        cands.begin(), cands.begin() + static_cast<std::ptrdiff_t>(k));
-    std::make_heap(heap.begin(), heap.end(), better);
-    for (std::size_t i = k; i < cands.size(); ++i) {
-        if (better(cands[i], heap.front())) {
-            std::pop_heap(heap.begin(), heap.end(), better);
-            heap.back() = cands[i];
-            std::push_heap(heap.begin(), heap.end(), better);
-        }
-    }
-    std::sort_heap(heap.begin(), heap.end(), better);
-    return heap;
-}
-
 /**
- * selectK over parallel (id, distance) arrays: same total order and
- * result bits, but the candidates are never materialised as Neighbor
- * records — the ADC hot path scans two flat 4-byte streams instead
- * of packing 4096 structs per query just to throw them away.
+ * The K nearest of the candidates (ids[i], dists[i]), closest first,
+ * via a bounded max-heap scan over the two flat arrays: O(n log k),
+ * and no mutation of the candidates. The order is total, so the
+ * selected set and its order are independent of the scan order.
  */
 std::vector<Neighbor>
-selectKFlat(std::span<const std::uint32_t> ids,
-            std::span<const float> dists, std::size_t k)
+selectK(std::span<const std::uint32_t> ids, std::span<const float> dists,
+        std::size_t k)
 {
     k = std::min(k, ids.size());
     if (k == 0)
@@ -78,33 +54,58 @@ selectKFlat(std::span<const std::uint32_t> ids,
     return heap;
 }
 
-/** 64-byte aligned scratch vector (dot buffers). */
+/** 64-byte aligned scratch vector (distance buffers). */
 using AlignedFloats =
     std::vector<float, simd::AlignedAllocator<float, 64>>;
+
+/**
+ * Cut the candidates (ids[i], dists[i]) to their @p keep nearest,
+ * leaving the survivors' ids in @p ids in no particular order: one
+ * O(n) nth_element over @p pairs (scratch), no sort. The order is
+ * total, so the kept set is unique however many distances tie.
+ */
+void
+cutNearest(std::vector<std::uint32_t> &ids, const AlignedFloats &dists,
+           std::size_t keep, std::vector<Neighbor> &pairs)
+{
+    const std::size_t n = ids.size();
+    if (n <= keep)
+        return;
+    pairs.resize(n);
+    for (std::size_t i = 0; i < n; ++i)
+        pairs[i] = {ids[i], dists[i]};
+    std::nth_element(pairs.begin(),
+                     pairs.begin() + static_cast<std::ptrdiff_t>(keep),
+                     pairs.end(), better);
+    ids.resize(keep);
+    for (std::size_t i = 0; i < keep; ++i)
+        ids[i] = pairs[i].id;
+}
 
 /**
  * Per-query batched distance evaluation: one dotIdx sweep reads the
  * scattered candidate rows in place (no gather copy), and distances
  * come from the norm decomposition
  * ||q - x||^2 = ||q||^2 + ||x||^2 - 2 q.x (clamped at zero against
- * cancellation). One kernel call per query instead of one strided
- * l2sq per candidate pair.
+ * cancellation), written over the dot products in @p dists. One
+ * kernel call per query instead of one strided l2sq per candidate
+ * pair.
  */
 void
 scoreCandidates(const simd::Kernels &k, std::span<const float> query,
                 const Matrix &database, std::span<const float> norms,
                 const std::vector<std::uint32_t> &ids,
-                AlignedFloats &dots, std::vector<Neighbor> &cands)
+                AlignedFloats &dists)
 {
     const std::size_t d = database.cols();
     const std::size_t n = ids.size();
-    dots.resize(n);
+    dists.resize(n);
     k.dotIdx(query.data(), database.flat().data(), ids.data(), n, d,
-             dots.data());
+             dists.data());
     float qn = k.normSq(query.data(), d);
     for (std::size_t r = 0; r < n; ++r) {
-        float dist = qn + norms[ids[r]] - 2.0f * dots[r];
-        cands.push_back({ids[r], std::max(dist, 0.0f)});
+        float dist = qn + norms[ids[r]] - 2.0f * dists[r];
+        dists[r] = std::max(dist, 0.0f);
     }
 }
 
@@ -160,18 +161,20 @@ using AlignedBytes =
  * candidates per shuffle sweep. The quantization and packing are
  * backend-independent and adcBatch4 is bitwise cross-backend (exact
  * integer sums, one fused multiply-add), so this path too returns
- * identical bits on every backend and thread count.
+ * identical bits on every backend and thread count. @p rows is the
+ * table build's float scratch (lutFloats() floats).
  */
 void
 scoreCandidatesPq4(const simd::Kernels &k, const PqCodebook &cb,
                    std::span<const float> query,
                    const InvertedFileIndex &index,
                    const std::vector<std::uint32_t> &clusters,
-                   std::size_t max_candidates, std::uint8_t *lut4,
-                   std::vector<std::uint32_t> &ids,
+                   std::size_t max_candidates, std::span<float> rows,
+                   std::uint8_t *lut4, std::vector<std::uint32_t> &ids,
                    AlignedFloats &dists)
 {
-    const PqCodebook::AdcQuantParams qp = cb.adcTable4(query, lut4);
+    const PqCodebook::AdcQuantParams qp =
+        cb.adcTable4(query, lut4, rows);
     const std::size_t m = cb.numSubspaces();
     for (std::uint32_t cluster : clusters) {
         // Same wrap guard as scoreCandidatesPq.
@@ -230,36 +233,31 @@ rerank(const Matrix &queries, const Matrix &database,
         0, queries.rows(), kQueryGrain,
         [&](std::size_t qb, std::size_t qe) {
             std::vector<std::uint32_t> ids;
-            std::vector<Neighbor> cands;
-            AlignedFloats dots;
+            AlignedFloats dists; // exact distances
             AlignedFloats adc;
-            AlignedFloats lut;
+            AlignedFloats lut; // 8-bit table, or the 4-bit build's rows
             AlignedBytes lut4;
+            std::vector<Neighbor> pairs; // the refine cut's scratch
             const bool pq4 =
                 cfg.usePq && index.pqCodebook().codeBits() == 4;
+            if (cfg.usePq)
+                lut.resize(index.pqCodebook().lutFloats());
             if (pq4) {
                 lut4.resize(index.pqCodebook().numSubspaces() *
                             simd::kAdc4LutStride);
-            } else if (cfg.usePq) {
-                lut.resize(index.pqCodebook().lutFloats());
             }
             // Reserve only what the selected path touches: the ADC
-            // scan fills ids + adc; the exact path fills ids + cands
-            // (one Neighbor per candidate); the refine stage holds at
-            // most max(k, pqRefine) survivors in cands.
-            if (cfg.maxCandidates)
+            // scan fills ids + adc, the exact path ids + dists; the
+            // refine stage holds at most max(k, pqRefine) survivors.
+            if (cfg.maxCandidates) {
                 ids.reserve(cfg.maxCandidates);
-            if (cfg.usePq) {
-                if (cfg.maxCandidates)
+                if (cfg.usePq)
                     adc.reserve(cfg.maxCandidates);
-                if (cfg.pqRefine > 0)
-                    cands.reserve(std::max(cfg.k, cfg.pqRefine));
-            } else if (cfg.maxCandidates) {
-                cands.reserve(cfg.maxCandidates);
+                else
+                    dists.reserve(cfg.maxCandidates);
             }
             for (std::size_t q = qb; q < qe; ++q) {
                 ids.clear();
-                cands.clear();
                 if (cfg.usePq) {
                     adc.clear();
                     if (pq4) {
@@ -267,7 +265,8 @@ rerank(const Matrix &queries, const Matrix &database,
                                            queries.row(q), index,
                                            lists[q],
                                            cfg.maxCandidates,
-                                           lut4.data(), ids, adc);
+                                           lut, lut4.data(), ids,
+                                           adc);
                     } else {
                         scoreCandidatesPq(k, index.pqCodebook(),
                                           queries.row(q), index,
@@ -275,18 +274,18 @@ rerank(const Matrix &queries, const Matrix &database,
                                           cfg.maxCandidates,
                                           lut.data(), ids, adc);
                     }
-                    if (cfg.pqRefine > 0) {
-                        std::vector<Neighbor> top = selectKFlat(
-                            ids, adc, std::max(cfg.k, cfg.pqRefine));
-                        ids.clear();
-                        for (const Neighbor &nb : top)
-                            ids.push_back(nb.id);
-                        scoreCandidates(k, queries.row(q), database,
-                                        norms, ids, dots, cands);
-                        out[q] = selectK(cands, cfg.k);
-                    } else {
-                        out[q] = selectKFlat(ids, adc, cfg.k);
+                    if (cfg.pqRefine == 0) {
+                        out[q] = selectK(ids, adc, cfg.k);
+                        continue;
                     }
+                    // Exact refine: only the survivor set matters,
+                    // since dotIdx scores each id on its own row and
+                    // selectK orders by the same total order.
+                    cutNearest(ids, adc, std::max(cfg.k, cfg.pqRefine),
+                               pairs);
+                    scoreCandidates(k, queries.row(q), database, norms,
+                                    ids, dists);
+                    out[q] = selectK(ids, dists, cfg.k);
                     continue;
                 }
                 // Ranged prefix copies, one per cluster, with the
@@ -306,8 +305,8 @@ rerank(const Matrix &queries, const Matrix &database,
                                    static_cast<std::ptrdiff_t>(take));
                 }
                 scoreCandidates(k, queries.row(q), database, norms,
-                                ids, dots, cands);
-                out[q] = selectK(cands, cfg.k);
+                                ids, dists);
+                out[q] = selectK(ids, dists, cfg.k);
             }
         },
         cfg.parallel);
@@ -323,27 +322,26 @@ bruteForce(const Matrix &queries, const Matrix &database, std::size_t k,
     const std::size_t d = database.cols();
     const std::size_t n = database.rows();
 
+    std::vector<std::uint32_t> ids(n);
+    std::iota(ids.begin(), ids.end(), 0u);
+
     RerankResults out(queries.rows());
     parallel::parallelFor(
         0, queries.rows(), 1,
         [&](std::size_t qb, std::size_t qe) {
-            std::vector<Neighbor> cands;
-            std::vector<float> dots(n);
-            cands.reserve(n);
+            std::vector<float> dists(n);
             for (std::size_t q = qb; q < qe; ++q) {
-                cands.clear();
                 // Database rows are already contiguous: one batched
                 // dot sweep, no gather needed.
                 kern.dotBatch(queries.row(q).data(),
                               database.flat().data(), n, d,
-                              dots.data());
+                              dists.data());
                 float qn = kern.normSq(queries.row(q).data(), d);
                 for (std::size_t i = 0; i < n; ++i) {
-                    float dist = qn + norms[i] - 2.0f * dots[i];
-                    cands.push_back({static_cast<std::uint32_t>(i),
-                                     std::max(dist, 0.0f)});
+                    float dist = qn + norms[i] - 2.0f * dists[i];
+                    dists[i] = std::max(dist, 0.0f);
                 }
-                out[q] = selectK(cands, k);
+                out[q] = selectK(ids, dists, k);
             }
         },
         par);

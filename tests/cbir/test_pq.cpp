@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "cbir/index.hh"
 #include "cbir/pq.hh"
@@ -298,8 +299,11 @@ TEST(PqCodebook, FourBitAdcTableIsExactlySixteenWide)
 
     std::vector<std::uint8_t> lut(cb.lutFloats());
     ASSERT_EQ(lut.size(), cb.numSubspaces() * simd::kAdc4LutStride);
-    std::vector<float> query(cb.dim(), 0.25f);
-    cb.adcTable4(query, lut.data());
+    std::vector<float> query(cb.dim(), 0.25f), rows(cb.lutFloats());
+    cb.adcTable4(query, lut.data(), rows);
+    std::span<float> short_rows(rows.data(), rows.size() - 1);
+    EXPECT_THROW(cb.adcTable4(query, lut.data(), short_rows),
+                 sim::SimPanic);
     for (std::size_t s = 0; s < cb.numSubspaces(); ++s) {
         for (std::size_t j = cb.numCentroids();
              j < simd::kAdc4LutStride; ++j)
@@ -323,9 +327,9 @@ TEST(PqCodebook, FourBitAdcWithinQuantizationBoundOfExact)
     simd::adc4Pack(codes.data(), n, m, blocks.data());
 
     std::vector<std::uint8_t> lut4(cb.lutFloats());
-    std::vector<float> got(n), decoded(cb.dim());
+    std::vector<float> got(n), decoded(cb.dim()), rows(cb.lutFloats());
     for (std::size_t q = 0; q < queries.rows(); ++q) {
-        auto qp = cb.adcTable4(queries.row(q), lut4.data());
+        auto qp = cb.adcTable4(queries.row(q), lut4.data(), rows);
         k.adcBatch4(lut4.data(), blocks.data(), n, m, qp.scale,
                     qp.bias, got.data());
         // Each quantized entry sits within scale/2 of the true
