@@ -3,15 +3,18 @@
  * google-benchmark microbenchmarks of the functional CBIR kernels:
  * the GEMM, partial sort and distance primitives the FPGA engines
  * implement, plus k-means and the mini CNN; the discrete-event queue
- * hot path (schedule/run/deschedule mix); and the parallel
- * figure-sweep runner. These are host-CPU numbers (sanity and
+ * hot path (schedule/run/deschedule mix); the thread pool's wake
+ * latency; and the parallel figure-sweep runner. These are host-CPU numbers (sanity and
  * regression tracking), not simulated-FPGA numbers.
  */
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <atomic>
+#include <functional>
 #include <memory>
+#include <thread>
 
 #include "cbir/kmeans.hh"
 #include "cbir/linalg.hh"
@@ -21,6 +24,7 @@
 #include "cbir/shortlist.hh"
 #include "common.hh"
 #include "parallel/parallel.hh"
+#include "parallel/thread_pool.hh"
 #include "service/query_service.hh"
 #include "sim/event_queue.hh"
 #include "sim/rng.hh"
@@ -200,6 +204,34 @@ BENCHMARK(BM_RerankThreads)
     ->Arg(4)
     ->Arg(8)
     ->UseRealTime();
+
+/**
+ * ThreadPool::run's wake latency (Arg = participants, caller
+ * included). Each run has one chunk per participant, and every chunk
+ * spins until all participants have claimed theirs, so a run returns
+ * only after the slowest woken worker's first claim: the time per
+ * iteration is the notify-to-first-claim latency of the last worker
+ * to wake, plus one join. A private pool keeps other benches' runs
+ * out of it.
+ */
+void
+BM_PoolWake(benchmark::State &state)
+{
+    const auto threads = static_cast<unsigned>(state.range(0));
+    parallel::ThreadPool pool(threads - 1);
+    std::atomic<unsigned> claimed{0};
+    const std::function<void(std::size_t)> task = [&](std::size_t) {
+        claimed.fetch_add(1, std::memory_order_acq_rel);
+        while (claimed.load(std::memory_order_acquire) < threads)
+            std::this_thread::yield();
+    };
+    for (auto _ : state) {
+        claimed.store(0, std::memory_order_relaxed);
+        pool.run(threads, threads, task);
+        benchmark::DoNotOptimize(claimed);
+    }
+}
+BENCHMARK(BM_PoolWake)->Arg(2)->Arg(4)->UseRealTime();
 
 void
 BM_KMeansThreads(benchmark::State &state)
@@ -628,6 +660,19 @@ BM_RerankPq4Refine(benchmark::State &state, simd::Choice choice)
 }
 BENCHMARK_CAPTURE(BM_RerankPq4Refine, scalar, simd::Choice::scalar);
 BENCHMARK_CAPTURE(BM_RerankPq4Refine, avx2, simd::Choice::avx2);
+
+/**
+ * The small-budget sibling of BM_RerankPq4Refine: refine 10 over the
+ * same 368 candidates, so the refine cut keeps about 3% of them.
+ */
+void
+BM_RerankPq4RefineSmall(benchmark::State &state, simd::Choice choice)
+{
+    rerankPqBench(state, choice, 10, /*fourBit=*/true,
+                  /*maxCandidates=*/368);
+}
+BENCHMARK_CAPTURE(BM_RerankPq4RefineSmall, scalar, simd::Choice::scalar);
+BENCHMARK_CAPTURE(BM_RerankPq4RefineSmall, avx2, simd::Choice::avx2);
 
 void
 BM_MiniCnnExtract(benchmark::State &state)

@@ -1,6 +1,8 @@
 #include "linalg.hh"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cstring>
 
 #include "sim/logging.hh"
@@ -80,44 +82,113 @@ rowNormsSq(const Matrix &m, const parallel::ParallelConfig &par)
     return norms;
 }
 
-// "better" = smaller value, ties to the lower index. Used as the
-// heap comparator it keeps the *worst* retained candidate at the
-// front, so each survivor test is a single comparison.
+namespace
+{
+
+/** The (value, index) total order: smaller value, then lower index. */
 bool
-TopKMin::better(const Entry &x, const Entry &y)
+better(const TopKMin::Entry &x, const TopKMin::Entry &y)
 {
     if (x.value != y.value)
         return x.value < y.value;
     return x.index < y.index;
 }
 
+/** Candidates per branch-free threshold test. */
+constexpr std::size_t kBlock = 8;
+
+} // namespace
+
+template <class IndexOf>
+void
+TopKMin::scan(const float *values, std::size_t n, IndexOf index_of)
+{
+    std::size_t j = 0;
+    if (kept.size() < limit) {
+        // The first limit candidates are all retained; sort once
+        // when the array fills. Storage is sized by the first call,
+        // so a k far above the candidate count reserves no more than
+        // is offered.
+        const std::size_t take = std::min(n, limit - kept.size());
+        if (kept.capacity() == 0)
+            kept.reserve(take);
+        for (; j < take; ++j)
+            kept.push_back({values[j], index_of(j)});
+        if (kept.size() < limit)
+            return;
+        std::sort(kept.begin(), kept.end(), better);
+    }
+    if (limit == 0)
+        return;
+    for (; j + kBlock <= n; j += kBlock) {
+        const float *block = values + j;
+        const float worst = kept.back().value;
+        // Counted compares keep the common no-hit block free of
+        // branches; a block with a hit then offers only its hits.
+        unsigned count = 0;
+        for (std::size_t l = 0; l < kBlock; ++l)
+            count += block[l] <= worst;
+        if (count == 0)
+            continue;
+        unsigned hits = 0;
+        for (std::size_t l = 0; l < kBlock; ++l)
+            hits |= static_cast<unsigned>(block[l] <= worst) << l;
+        // A stale hit (the k-th value fell since) fails offer's test.
+        for (; hits != 0; hits &= hits - 1) {
+            const auto l = static_cast<std::size_t>(std::countr_zero(hits));
+            offer({block[l], index_of(j + l)});
+        }
+    }
+    for (; j < n; ++j)
+        offer({values[j], index_of(j)});
+}
+
+void
+TopKMin::offer(Entry cand)
+{
+    if (!better(cand, kept.back()))
+        return;
+    std::size_t pos = kept.size() - 1;
+    for (; pos > 0 && better(cand, kept[pos - 1]); --pos)
+        kept[pos] = kept[pos - 1];
+    kept[pos] = cand;
+}
+
 void
 TopKMin::consider(std::span<const float> values,
                   std::uint32_t firstIndex)
 {
-    for (std::size_t j = 0; j < values.size(); ++j) {
-        const Entry cand{values[j],
-                         firstIndex + static_cast<std::uint32_t>(j)};
-        if (heap.size() < limit) {
-            heap.push_back(cand);
-            std::push_heap(heap.begin(), heap.end(), better);
-        } else if (limit > 0 && better(cand, heap.front())) {
-            std::pop_heap(heap.begin(), heap.end(), better);
-            heap.back() = cand;
-            std::push_heap(heap.begin(), heap.end(), better);
-        }
-    }
+    scan(values.data(), values.size(), [firstIndex](std::size_t j) {
+        return firstIndex + static_cast<std::uint32_t>(j);
+    });
+}
+
+void
+TopKMin::consider(std::span<const float> values,
+                  std::span<const std::uint32_t> indices)
+{
+    if (values.size() != indices.size())
+        sim::panic("TopKMin::consider: values/indices length mismatch");
+    scan(values.data(), values.size(),
+         [indices](std::size_t j) { return indices[j]; });
+}
+
+std::span<const TopKMin::Entry>
+TopKMin::sorted()
+{
+    if (kept.size() < limit)
+        std::sort(kept.begin(), kept.end(), better);
+    return kept;
 }
 
 std::vector<std::uint32_t>
 TopKMin::finish()
 {
-    std::sort_heap(heap.begin(), heap.end(), better);
     std::vector<std::uint32_t> out;
-    out.reserve(heap.size());
-    for (const Entry &e : heap)
+    out.reserve(kept.size());
+    for (const Entry &e : sorted())
         out.push_back(e.index);
-    heap.clear();
+    kept.clear();
     return out;
 }
 
@@ -127,6 +198,101 @@ topKMin(std::span<const float> values, std::size_t k)
     TopKMin sel(std::min(k, values.size()));
     sel.consider(values, 0);
     return sel.finish();
+}
+
+namespace
+{
+
+/**
+ * Order-preserving u32 key of a float: a < b as floats iff
+ * key(a) < key(b). -0.0 takes +0.0's key, since the comparator
+ * treats them as equal and leaves the tie to the id.
+ */
+std::uint32_t
+orderKey(float f)
+{
+    std::uint32_t u = std::bit_cast<std::uint32_t>(f);
+    if (u == 0x80000000u)
+        u = 0;
+    // Negative: flip every bit; non-negative: flip the sign bit.
+    const std::uint32_t flip = (0u - (u >> 31)) | 0x80000000u;
+    return u ^ flip;
+}
+
+} // namespace
+
+void
+cutNearest(std::vector<std::uint32_t> &ids, std::span<const float> dists,
+           std::size_t keep, std::vector<std::uint32_t> &scratch)
+{
+    const std::size_t n = ids.size();
+    if (dists.size() != n)
+        sim::panic("cutNearest: ids/dists length mismatch");
+    if (n <= keep)
+        return;
+    if (keep == 0) {
+        ids.clear();
+        return;
+    }
+
+    // scratch[0, live) holds the keys that can still be the
+    // threshold, which is the rank-th smallest of them (1-based).
+    scratch.resize(n);
+    std::uint32_t lo = ~0u;
+    std::uint32_t hi = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        const std::uint32_t key = orderKey(dists[i]);
+        scratch[i] = key;
+        lo = std::min(lo, key);
+        hi = std::max(hi, key);
+    }
+    std::size_t live = n;
+    std::size_t rank = keep;
+    while (lo != hi) {
+        // The 8-bit digit just below the bits every live key shares.
+        const int shift =
+            std::max(0, static_cast<int>(std::bit_width(lo ^ hi)) - 8);
+        std::array<std::uint32_t, 256> hist{};
+        for (std::size_t i = 0; i < live; ++i)
+            ++hist[(scratch[i] >> shift) & 0xff];
+        std::uint32_t digit = 0;
+        for (; hist[digit] < rank; ++digit)
+            rank -= hist[digit];
+        std::size_t next = 0;
+        for (std::size_t i = 0; i < live; ++i) {
+            const std::uint32_t key = scratch[i];
+            scratch[next] = key;
+            next += ((key >> shift) & 0xff) == digit;
+        }
+        live = next;
+        lo = ~0u;
+        hi = 0;
+        for (std::size_t i = 0; i < live; ++i) {
+            lo = std::min(lo, scratch[i]);
+            hi = std::max(hi, scratch[i]);
+        }
+    }
+
+    // Keep every id below the threshold in place; gather the ids
+    // equal to it, then keep the lowest of those.
+    const std::uint32_t threshold = lo;
+    std::size_t below = 0;
+    std::size_t tied = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        const std::uint32_t key = orderKey(dists[i]);
+        const std::uint32_t id = ids[i];
+        ids[below] = id;
+        below += key < threshold;
+        scratch[tied] = id;
+        tied += key == threshold;
+    }
+    const std::size_t need = keep - below;
+    auto first = scratch.begin();
+    std::nth_element(first, first + static_cast<std::ptrdiff_t>(need),
+                     first + static_cast<std::ptrdiff_t>(tied));
+    std::copy_n(first, need,
+                ids.begin() + static_cast<std::ptrdiff_t>(below));
+    ids.resize(keep);
 }
 
 } // namespace reach::cbir

@@ -114,54 +114,96 @@ std::vector<float> rowNormsSq(const Matrix &m,
                               const parallel::ParallelConfig &par = {});
 
 /**
- * Streaming k-smallest selection over values fed in index order, in
- * column blocks. The retained set is defined purely by the total
- * order "smaller value wins, ties to the lower index" — the k-best
- * subset under a total order is unique, so feeding one block at a
- * time yields exactly the indices topKMin would return over the
- * concatenated array, regardless of the block split. O(k) space.
+ * Streaming k-smallest selection. The retained set is defined purely
+ * by the total order "smaller value wins, ties to the lower index" —
+ * the k-best subset under a total order is unique, so any split of
+ * the candidates into blocks, fed in any order, yields exactly the
+ * indices topKMin would return over the concatenated array. O(k)
+ * space.
+ *
+ * The k best are kept as a sorted array. Candidates are tested eight
+ * at a time against the current k-th value with branch-free `<=`
+ * compares (a candidate equal to it can still win on a lower index).
+ * A block with no hit costs those eight compares; a block with a hit
+ * offers its hits to the full (value, index) compare and
+ * insertion-sorts the winners in.
  */
 class TopKMin
 {
   public:
-    explicit TopKMin(std::size_t k) : limit(k) { heap.reserve(k); }
-
-    /**
-     * Offer @p values, whose element j has global index
-     * @p firstIndex + j. Blocks must arrive in ascending index order
-     * only for the "ties to the lower index" rule to match a single
-     * scan — the retained *set* is split-invariant either way.
-     */
-    void consider(std::span<const float> values,
-                  std::uint32_t firstIndex);
-
-    /**
-     * Indices of the retained candidates in ascending (value, index)
-     * order — the topKMin output contract. Consumes the heap.
-     */
-    std::vector<std::uint32_t> finish();
-
-  private:
+    /** One retained candidate. */
     struct Entry
     {
         float value;
         std::uint32_t index;
     };
 
-    static bool better(const Entry &x, const Entry &y);
+    explicit TopKMin(std::size_t k) : limit(k) {}
+
+    /**
+     * Offer @p values, whose element j has global index
+     * @p firstIndex + j.
+     */
+    void consider(std::span<const float> values,
+                  std::uint32_t firstIndex);
+
+    /**
+     * Offer @p values, whose element j has index @p indices[j] (same
+     * length; indices must be distinct across everything offered).
+     */
+    void consider(std::span<const float> values,
+                  std::span<const std::uint32_t> indices);
+
+    /** The retained candidates in ascending (value, index) order. */
+    std::span<const Entry> sorted();
+
+    /**
+     * Indices of the retained candidates in ascending (value, index)
+     * order — the topKMin output contract. Empties the selector.
+     */
+    std::vector<std::uint32_t> finish();
+
+    /** Forget every candidate, keeping k and the storage. */
+    void clear() { kept.clear(); }
+
+  private:
+    template <class IndexOf>
+    void scan(const float *values, std::size_t n, IndexOf index_of);
+
+    void offer(Entry cand);
 
     std::size_t limit;
-    std::vector<Entry> heap;
+    /** Unsorted until it first holds limit entries, sorted after. */
+    std::vector<Entry> kept;
 };
 
 /**
  * Indices of the @p k smallest values (ties broken by lower index),
  * in ascending value order — the "partial sorting of the dist array"
- * step. One-shot wrapper over TopKMin: O(n log k) time and O(k)
- * extra space, no O(n) index materialization.
+ * step. One-shot wrapper over TopKMin: O(k) extra space, no O(n)
+ * index materialization.
  */
 std::vector<std::uint32_t> topKMin(std::span<const float> values,
                                    std::size_t k);
+
+/**
+ * Cut the candidates (ids[i], dists[i]) to their @p keep nearest
+ * under the (distance, id) total order, leaving the survivors' ids in
+ * @p ids in no particular order; no-op when ids.size() <= keep. The
+ * ids must be distinct.
+ *
+ * An O(n) MSD radix select over order-preserving u32 keys of the
+ * distances (-0.0 shares +0.0's key, as the comparator treats them
+ * as equal): skip the bits every key shares, pick the 8-bit digit
+ * holding the keep-th key with a histogram, keep only that digit's
+ * keys, repeat until one key is left. That key is the threshold; the
+ * cut keeps every id below it and the lowest ids among those equal
+ * to it. The passes over the keys are branch-free. @p scratch is
+ * caller-owned (grows to ids.size()).
+ */
+void cutNearest(std::vector<std::uint32_t> &ids,
+                std::span<const float> dists, std::size_t keep,
+                std::vector<std::uint32_t> &scratch);
 
 } // namespace reach::cbir
 

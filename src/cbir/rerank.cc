@@ -1,7 +1,6 @@
 #include "rerank.hh"
 
 #include <algorithm>
-#include <numeric>
 #include <span>
 #include <unordered_set>
 
@@ -15,43 +14,29 @@ namespace reach::cbir
 namespace
 {
 
-/** The (distSq, id) total order every selection in this file uses. */
-bool
-better(const Neighbor &a, const Neighbor &b)
+/** Selected entries as neighbours, in the same order. */
+std::vector<Neighbor>
+neighbors(std::span<const TopKMin::Entry> best)
 {
-    if (a.distSq != b.distSq)
-        return a.distSq < b.distSq;
-    return a.id < b.id;
+    std::vector<Neighbor> out(best.size());
+    for (std::size_t i = 0; i < best.size(); ++i)
+        out[i] = {best[i].index, best[i].value};
+    return out;
 }
 
 /**
  * The K nearest of the candidates (ids[i], dists[i]), closest first,
- * via a bounded max-heap scan over the two flat arrays: O(n log k),
- * and no mutation of the candidates. The order is total, so the
- * selected set and its order are independent of the scan order.
+ * through the worker's selector @p top (constructed with K). The
+ * selection is by the (distSq, id) total order, so the selected set
+ * and its order are independent of the scan order.
  */
 std::vector<Neighbor>
-selectK(std::span<const std::uint32_t> ids, std::span<const float> dists,
-        std::size_t k)
+selectK(TopKMin &top, std::span<const std::uint32_t> ids,
+        std::span<const float> dists)
 {
-    k = std::min(k, ids.size());
-    if (k == 0)
-        return {};
-    std::vector<Neighbor> heap;
-    heap.reserve(k);
-    for (std::size_t i = 0; i < k; ++i)
-        heap.push_back({ids[i], dists[i]});
-    std::make_heap(heap.begin(), heap.end(), better);
-    for (std::size_t i = k; i < ids.size(); ++i) {
-        Neighbor nb{ids[i], dists[i]};
-        if (better(nb, heap.front())) {
-            std::pop_heap(heap.begin(), heap.end(), better);
-            heap.back() = nb;
-            std::push_heap(heap.begin(), heap.end(), better);
-        }
-    }
-    std::sort_heap(heap.begin(), heap.end(), better);
-    return heap;
+    top.clear();
+    top.consider(dists, ids);
+    return neighbors(top.sorted());
 }
 
 /** 64-byte aligned scratch vector (distance buffers). */
@@ -59,27 +44,34 @@ using AlignedFloats =
     std::vector<float, simd::AlignedAllocator<float, 64>>;
 
 /**
- * Cut the candidates (ids[i], dists[i]) to their @p keep nearest,
- * leaving the survivors' ids in @p ids in no particular order: one
- * O(n) nth_element over @p pairs (scratch), no sort. The order is
- * total, so the kept set is unique however many distances tie.
+ * Walk the short-listed @p clusters closest first and append each
+ * one's member prefix to @p ids until @p max_candidates are gathered
+ * (0 = unlimited). @p scored(cluster, base, take) runs after each
+ * non-empty prefix lands at ids[base, base + take).
  */
+template <class Scored>
 void
-cutNearest(std::vector<std::uint32_t> &ids, const AlignedFloats &dists,
-           std::size_t keep, std::vector<Neighbor> &pairs)
+gatherCandidates(const InvertedFileIndex &index,
+                 const std::vector<std::uint32_t> &clusters,
+                 std::size_t max_candidates,
+                 std::vector<std::uint32_t> &ids, Scored scored)
 {
-    const std::size_t n = ids.size();
-    if (n <= keep)
-        return;
-    pairs.resize(n);
-    for (std::size_t i = 0; i < n; ++i)
-        pairs[i] = {ids[i], dists[i]};
-    std::nth_element(pairs.begin(),
-                     pairs.begin() + static_cast<std::ptrdiff_t>(keep),
-                     pairs.end(), better);
-    ids.resize(keep);
-    for (std::size_t i = 0; i < keep; ++i)
-        ids[i] = pairs[i].id;
+    for (std::uint32_t cluster : clusters) {
+        // Guard before the subtraction: once the budget is full the
+        // unsigned `max_candidates - ids.size()` below would wrap.
+        if (max_candidates && ids.size() >= max_candidates)
+            break;
+        const auto &members = index.cluster(cluster);
+        std::size_t take = members.size();
+        if (max_candidates)
+            take = std::min(take, max_candidates - ids.size());
+        if (take == 0)
+            continue;
+        const std::size_t base = ids.size();
+        ids.insert(ids.end(), members.begin(),
+                   members.begin() + static_cast<std::ptrdiff_t>(take));
+        scored(cluster, base, take);
+    }
 }
 
 /**
@@ -131,24 +123,13 @@ scoreCandidatesPq(const simd::Kernels &k, const PqCodebook &cb,
     cb.adcTable(query, lut);
     const std::size_t m = cb.numSubspaces();
     const std::size_t stride = cb.lutStride();
-    for (std::uint32_t cluster : clusters) {
-        // Guard before the subtraction: once the budget is full the
-        // unsigned `max_candidates - ids.size()` below would wrap.
-        if (max_candidates && ids.size() >= max_candidates)
-            break;
-        const auto &members = index.cluster(cluster);
-        std::size_t take = members.size();
-        if (max_candidates)
-            take = std::min(take, max_candidates - ids.size());
-        if (take == 0)
-            continue;
-        const std::size_t base = ids.size();
-        ids.insert(ids.end(), members.begin(),
-                   members.begin() + static_cast<std::ptrdiff_t>(take));
-        dists.resize(base + take);
-        k.adcBatch(lut, stride, index.clusterCodes(cluster).data(),
-                   take, m, dists.data() + base);
-    }
+    gatherCandidates(
+        index, clusters, max_candidates, ids,
+        [&](std::uint32_t cluster, std::size_t base, std::size_t take) {
+            dists.resize(base + take);
+            k.adcBatch(lut, stride, index.clusterCodes(cluster).data(),
+                       take, m, dists.data() + base);
+        });
 }
 
 /** 64-byte aligned u8 scratch (the register-resident shuffle LUT). */
@@ -176,23 +157,13 @@ scoreCandidatesPq4(const simd::Kernels &k, const PqCodebook &cb,
     const PqCodebook::AdcQuantParams qp =
         cb.adcTable4(query, lut4, rows);
     const std::size_t m = cb.numSubspaces();
-    for (std::uint32_t cluster : clusters) {
-        // Same wrap guard as scoreCandidatesPq.
-        if (max_candidates && ids.size() >= max_candidates)
-            break;
-        const auto &members = index.cluster(cluster);
-        std::size_t take = members.size();
-        if (max_candidates)
-            take = std::min(take, max_candidates - ids.size());
-        if (take == 0)
-            continue;
-        const std::size_t base = ids.size();
-        ids.insert(ids.end(), members.begin(),
-                   members.begin() + static_cast<std::ptrdiff_t>(take));
-        dists.resize(base + take);
-        k.adcBatch4(lut4, index.clusterPackedCodes(cluster).data(),
-                    take, m, qp.scale, qp.bias, dists.data() + base);
-    }
+    gatherCandidates(
+        index, clusters, max_candidates, ids,
+        [&](std::uint32_t cluster, std::size_t base, std::size_t take) {
+            dists.resize(base + take);
+            k.adcBatch4(lut4, index.clusterPackedCodes(cluster).data(),
+                        take, m, qp.scale, qp.bias, dists.data() + base);
+        });
 }
 
 /** Per-query worker grain of the rerank parallel loop. */
@@ -237,7 +208,8 @@ rerank(const Matrix &queries, const Matrix &database,
             AlignedFloats adc;
             AlignedFloats lut; // 8-bit table, or the 4-bit build's rows
             AlignedBytes lut4;
-            std::vector<Neighbor> pairs; // the refine cut's scratch
+            std::vector<std::uint32_t> cut; // the refine cut's scratch
+            TopKMin top(cfg.k);
             const bool pq4 =
                 cfg.usePq && index.pqCodebook().codeBits() == 4;
             if (cfg.usePq)
@@ -275,38 +247,25 @@ rerank(const Matrix &queries, const Matrix &database,
                                           lut.data(), ids, adc);
                     }
                     if (cfg.pqRefine == 0) {
-                        out[q] = selectK(ids, adc, cfg.k);
+                        out[q] = selectK(top, ids, adc);
                         continue;
                     }
                     // Exact refine: only the survivor set matters,
                     // since dotIdx scores each id on its own row and
                     // selectK orders by the same total order.
                     cutNearest(ids, adc, std::max(cfg.k, cfg.pqRefine),
-                               pairs);
+                               cut);
                     scoreCandidates(k, queries.row(q), database, norms,
                                     ids, dists);
-                    out[q] = selectK(ids, dists, cfg.k);
+                    out[q] = selectK(top, ids, dists);
                     continue;
                 }
-                // Ranged prefix copies, one per cluster, with the
-                // truncation hoisted out of the member walk — the
-                // same gather scoreCandidatesPq uses.
-                for (std::uint32_t cluster : lists[q]) {
-                    if (cfg.maxCandidates &&
-                        ids.size() >= cfg.maxCandidates)
-                        break;
-                    const auto &members = index.cluster(cluster);
-                    std::size_t take = members.size();
-                    if (cfg.maxCandidates)
-                        take = std::min(take, cfg.maxCandidates -
-                                                  ids.size());
-                    ids.insert(ids.end(), members.begin(),
-                               members.begin() +
-                                   static_cast<std::ptrdiff_t>(take));
-                }
+                gatherCandidates(index, lists[q], cfg.maxCandidates, ids,
+                                 [](std::uint32_t, std::size_t,
+                                    std::size_t) {});
                 scoreCandidates(k, queries.row(q), database, norms,
                                 ids, dists);
-                out[q] = selectK(ids, dists, cfg.k);
+                out[q] = selectK(top, ids, dists);
             }
         },
         cfg.parallel);
@@ -322,14 +281,12 @@ bruteForce(const Matrix &queries, const Matrix &database, std::size_t k,
     const std::size_t d = database.cols();
     const std::size_t n = database.rows();
 
-    std::vector<std::uint32_t> ids(n);
-    std::iota(ids.begin(), ids.end(), 0u);
-
     RerankResults out(queries.rows());
     parallel::parallelFor(
         0, queries.rows(), 1,
         [&](std::size_t qb, std::size_t qe) {
             std::vector<float> dists(n);
+            TopKMin top(k);
             for (std::size_t q = qb; q < qe; ++q) {
                 // Database rows are already contiguous: one batched
                 // dot sweep, no gather needed.
@@ -341,7 +298,9 @@ bruteForce(const Matrix &queries, const Matrix &database, std::size_t k,
                     float dist = qn + norms[i] - 2.0f * dists[i];
                     dists[i] = std::max(dist, 0.0f);
                 }
-                out[q] = selectK(ids, dists, k);
+                top.clear();
+                top.consider(dists, 0);
+                out[q] = neighbors(top.sorted());
             }
         },
         par);
