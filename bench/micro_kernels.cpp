@@ -12,6 +12,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdio>
+#include <cstdlib>
 #include <functional>
 #include <memory>
 #include <thread>
@@ -23,6 +25,7 @@
 #include "cbir/rerank.hh"
 #include "cbir/shortlist.hh"
 #include "common.hh"
+#include "core/cosim.hh"
 #include "parallel/parallel.hh"
 #include "parallel/thread_pool.hh"
 #include "service/query_service.hh"
@@ -673,6 +676,251 @@ BM_RerankPq4RefineSmall(benchmark::State &state, simd::Choice choice)
 }
 BENCHMARK_CAPTURE(BM_RerankPq4RefineSmall, scalar, simd::Choice::scalar);
 BENCHMARK_CAPTURE(BM_RerankPq4RefineSmall, avx2, simd::Choice::avx2);
+
+/** The phases of one engine batch, in the order CbirService runs them. */
+enum class EnginePhase
+{
+    norms,
+    shortlistScan,
+    topNprobe,
+    lutBuild,
+    adcScan,
+    refineCut,
+    refineDots,
+    finalTopK,
+};
+
+using AlignedFloats = std::vector<float, simd::AlignedAllocator<float, 64>>;
+using AlignedBytes =
+    std::vector<std::uint8_t, simd::AlignedAllocator<std::uint8_t, 64>>;
+
+/**
+ * The perfbench openloop-onchip engine, one thread: 20k x 96 vectors,
+ * 1024 clusters, an fp16 shortlist probing 16, 4-bit PQ with m = 48
+ * and exact refine of 256, top 10. Its 16-query batches of Zipf
+ * queries (s = 2) are split into the phases CbirService::query runs,
+ * each stage's inputs precomputed by the stage before, so every
+ * BM_EngineBatchPhase row times one phase of one batch. The fixture
+ * checks that the phases reproduce the engine's answers.
+ */
+struct EngineBatchFixture
+{
+    static constexpr std::size_t kBatch = 16;
+    static constexpr std::size_t kBatches = 32;
+
+    core::CbirService svc;
+    const simd::Kernels &kern = simd::kernels(simd::Choice::autoDetect);
+    std::vector<Matrix> batches;
+    /** Per batch. */
+    std::vector<std::vector<float>> qnorms;
+    std::vector<AlignedFloats> tiles;
+    std::vector<ShortLists> lists;
+    /** Per query (batch * kBatch + row). */
+    std::vector<AlignedBytes> luts;
+    std::vector<PqCodebook::AdcQuantParams> quant;
+    std::vector<std::vector<std::uint32_t>> ids;
+    std::vector<AlignedFloats> adc;
+    std::vector<std::vector<std::uint32_t>> survivors;
+    std::vector<AlignedFloats> exact;
+    /** Scratch. */
+    AlignedFloats lutRows;
+    std::vector<std::uint32_t> cutScratch;
+    TopKMin top;
+
+    static core::CbirService::Config
+    config()
+    {
+        core::CbirService::Config e;
+        e.parallel = parallel::ParallelConfig::serial();
+        e.kmeans.parallel = e.parallel;
+        e.kmeans.maxIterations = 6;
+        e.topK = 10;
+        e.maxCandidates = 4096;
+        e.dataset.numVectors = 20'000;
+        e.kmeans.clusters = 1024;
+        e.nprobe = 16;
+        e.shortlistPrecision = ShortlistPrecision::Fp16;
+        e.pq.enabled = true;
+        e.pq.bits = 4;
+        e.pq.m = 48;
+        e.pq.refine = 256;
+        return e;
+    }
+
+    EngineBatchFixture()
+        : svc(config()), qnorms(kBatches), tiles(kBatches),
+          lists(kBatches), luts(kBatches * kBatch),
+          quant(kBatches * kBatch), ids(kBatches * kBatch),
+          adc(kBatches * kBatch), survivors(kBatches * kBatch),
+          exact(kBatches * kBatch),
+          lutRows(svc.index().pqCodebook().lutFloats()),
+          top(svc.config().topK)
+    {
+        const Matrix q = svc.dataset().makeQueriesZipf(
+            kBatches * kBatch, 0.5, 601, 2.0);
+        for (std::size_t b = 0; b < kBatches; ++b) {
+            Matrix batch(kBatch, q.cols());
+            std::copy_n(q.row(b * kBatch).data(), kBatch * q.cols(),
+                        batch.flat().data());
+            batches.push_back(std::move(batch));
+        }
+        for (std::size_t b = 0; b < kBatches; ++b) {
+            for (int p = 0; p <= static_cast<int>(EnginePhase::finalTopK);
+                 ++p)
+                run(static_cast<EnginePhase>(p), b);
+            const RerankResults want = svc.query(batches[b]);
+            for (std::size_t r = 0; r < kBatch; ++r) {
+                if (answer(b * kBatch + r) != want[r]) {
+                    std::fprintf(stderr, "EngineBatchFixture: phases "
+                                         "disagree with the engine\n");
+                    std::abort();
+                }
+            }
+        }
+    }
+
+    std::vector<Neighbor>
+    answer(std::size_t i)
+    {
+        top.clear();
+        top.consider(exact[i], survivors[i]);
+        std::vector<Neighbor> out;
+        for (const TopKMin::Entry &e : top.sorted())
+            out.push_back({e.index, e.value});
+        return out;
+    }
+
+    /** Run phase @p p of batch @p b. */
+    void
+    run(EnginePhase p, std::size_t b)
+    {
+        const InvertedFileIndex &index = svc.index();
+        const PqCodebook &cb = index.pqCodebook();
+        const core::CbirService::Config &cfg = svc.config();
+        const Matrix &batch = batches[b];
+        const std::size_t m = index.centroids().rows();
+        const std::size_t d = batch.cols();
+        switch (p) {
+        case EnginePhase::norms:
+            qnorms[b] = rowNormsSq(batch, cfg.parallel);
+            return;
+        case EnginePhase::shortlistScan:
+            tiles[b].resize(kBatch * m);
+            kern.shortlistScoreF16(batch.row(0).data(), qnorms[b].data(),
+                                   kBatch, index.centroidsF16().data(),
+                                   index.centroidNormsSqF16().data(), m,
+                                   d, tiles[b].data(), m);
+            return;
+        case EnginePhase::topNprobe: {
+            lists[b].resize(kBatch);
+            TopKMin sel(cfg.nprobe);
+            for (std::size_t r = 0; r < kBatch; ++r) {
+                sel.consider({tiles[b].data() + r * m, m}, 0);
+                lists[b][r] = sel.finish();
+            }
+            return;
+        }
+        default:
+            break;
+        }
+        for (std::size_t r = 0; r < kBatch; ++r) {
+            const std::size_t i = b * kBatch + r;
+            const std::span<const float> query = batch.row(r);
+            switch (p) {
+            case EnginePhase::lutBuild:
+                luts[i].resize(cb.numSubspaces() * simd::kAdc4LutStride);
+                quant[i] = cb.adcTable4(query, luts[i].data(), lutRows);
+                break;
+            case EnginePhase::adcScan:
+                // rerank's budgeted walk of the probed clusters.
+                ids[i].clear();
+                adc[i].clear();
+                for (std::uint32_t c : lists[b][r]) {
+                    const std::size_t base = ids[i].size();
+                    if (base >= cfg.maxCandidates)
+                        break;
+                    const std::size_t take =
+                        std::min(index.cluster(c).size(),
+                                 cfg.maxCandidates - base);
+                    if (take == 0)
+                        continue;
+                    ids[i].insert(ids[i].end(), index.cluster(c).begin(),
+                                  index.cluster(c).begin() +
+                                      static_cast<std::ptrdiff_t>(take));
+                    adc[i].resize(base + take);
+                    kern.adcBatch4(luts[i].data(),
+                                   index.clusterPackedCodes(c).data(),
+                                   take, cb.numSubspaces(), quant[i].scale,
+                                   quant[i].bias, adc[i].data() + base);
+                }
+                break;
+            case EnginePhase::refineCut:
+                survivors[i] = ids[i];
+                cutNearest(survivors[i], adc[i],
+                           std::max<std::size_t>(cfg.topK, cfg.pq.refine),
+                           cutScratch);
+                break;
+            case EnginePhase::refineDots: {
+                const std::vector<std::uint32_t> &sv = survivors[i];
+                const std::span<const float> norms = index.vectorNormsSq();
+                exact[i].resize(sv.size());
+                kern.dotIdx(query.data(),
+                            svc.dataset().vectors().flat().data(),
+                            sv.data(), sv.size(), d, exact[i].data());
+                const float qn = kern.normSq(query.data(), d);
+                for (std::size_t j = 0; j < sv.size(); ++j) {
+                    const float dist =
+                        qn + norms[sv[j]] - 2.0f * exact[i][j];
+                    exact[i][j] = std::max(dist, 0.0f);
+                }
+                break;
+            }
+            case EnginePhase::finalTopK:
+                top.clear();
+                top.consider(exact[i], survivors[i]);
+                benchmark::DoNotOptimize(top.sorted().data());
+                break;
+            default:
+                break;
+            }
+        }
+    }
+};
+
+EngineBatchFixture &
+engineBatchFixture()
+{
+    static EngineBatchFixture f;
+    return f;
+}
+
+/**
+ * One phase of one 16-query openloop-onchip batch per iteration,
+ * cycling over the fixture's 32 batches. The rows sum to the host
+ * time of a batch, and DESIGN's per-phase tables come from them.
+ */
+void
+BM_EngineBatchPhase(benchmark::State &state, EnginePhase phase)
+{
+    EngineBatchFixture &f = engineBatchFixture();
+    std::size_t b = 0;
+    for (auto _ : state) {
+        f.run(phase, b);
+        b = (b + 1) % EngineBatchFixture::kBatches;
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            EngineBatchFixture::kBatch);
+}
+BENCHMARK_CAPTURE(BM_EngineBatchPhase, norms, EnginePhase::norms);
+BENCHMARK_CAPTURE(BM_EngineBatchPhase, shortlist_scan,
+                  EnginePhase::shortlistScan);
+BENCHMARK_CAPTURE(BM_EngineBatchPhase, top_nprobe, EnginePhase::topNprobe);
+BENCHMARK_CAPTURE(BM_EngineBatchPhase, lut_build, EnginePhase::lutBuild);
+BENCHMARK_CAPTURE(BM_EngineBatchPhase, adc_scan, EnginePhase::adcScan);
+BENCHMARK_CAPTURE(BM_EngineBatchPhase, refine_cut, EnginePhase::refineCut);
+BENCHMARK_CAPTURE(BM_EngineBatchPhase, refine_dots,
+                  EnginePhase::refineDots);
+BENCHMARK_CAPTURE(BM_EngineBatchPhase, final_top_k, EnginePhase::finalTopK);
 
 void
 BM_MiniCnnExtract(benchmark::State &state)

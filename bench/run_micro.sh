@@ -112,6 +112,16 @@ if t32 and t16:
         print(f"FAIL: fp16/fp32 shortlist scan ratio {ratio:.2f} "
               f"< 1.5")
         sys.exit(1)
+# One openloop-onchip engine batch, phase by phase (DESIGN §4u): the
+# rows sum to the host time of a 16-query batch.
+phases = [(n.split("/", 1)[1], t) for n, t in times.items()
+          if n.startswith("BM_EngineBatchPhase/")]
+if phases:
+    total = sum(t for _, t in phases)
+    for name, t in phases:
+        print(f"BM_EngineBatchPhase/{name}: {t / 1e3:.1f} us "
+              f"({t / total:.0%})")
+    print(f"BM_EngineBatchPhase: {total / 1e3:.1f} us per batch")
 # Parallel sweep runner wall-clock per job count (1-core hosts show
 # no speedup; the row documents the determinism-preserving overhead).
 sweep = sorted((int(n.split("/")[1]), t) for n, t in times.items()

@@ -4,6 +4,7 @@
 #include <array>
 #include <bit>
 #include <cstring>
+#include <limits>
 
 #include "sim/logging.hh"
 #include "simd/simd.hh"
@@ -97,32 +98,61 @@ better(const TopKMin::Entry &x, const TopKMin::Entry &y)
 /** Candidates per branch-free threshold test. */
 constexpr std::size_t kBlock = 8;
 
+/**
+ * A selection over at least this many times k candidates first
+ * bounds them with simd's maxGroupMin, so most candidates never reach
+ * the sorted array. Smaller inputs skip the bound, which would then
+ * cost more than the insertions it saves.
+ */
+constexpr std::size_t kBoundFactor = 8;
+
+/**
+ * Most candidates per group the bound takes a minimum over. Larger
+ * groups give a tighter bound, but past a few hundred candidates per
+ * group the insertions it saves cost less than the longer pass, so
+ * the k groups cover only a prefix of a long input. Any prefix gives
+ * a valid bound.
+ */
+constexpr std::size_t kBoundGroupMax = 256;
+
 } // namespace
 
 template <class IndexOf>
 void
 TopKMin::scan(const float *values, std::size_t n, IndexOf index_of)
 {
-    std::size_t j = 0;
-    if (kept.size() < limit) {
-        // The first limit candidates are all retained; sort once
-        // when the array fills. Storage is sized by the first call,
-        // so a k far above the candidate count reserves no more than
-        // is offered.
-        const std::size_t take = std::min(n, limit - kept.size());
-        if (kept.capacity() == 0)
-            kept.reserve(take);
-        for (; j < take; ++j)
-            kept.push_back({values[j], index_of(j)});
-        if (kept.size() < limit)
-            return;
-        std::sort(kept.begin(), kept.end(), better);
-    }
     if (limit == 0)
         return;
+    // Until the array is full a candidate passes when it is <= bound:
+    // +inf, or for a long first scan the largest of limit group
+    // minima. Those are limit distinct candidates no larger than it,
+    // so any candidate above it is beaten by limit others.
+    float bound = std::numeric_limits<float>::infinity();
+    if (kept.empty() && n / kBoundFactor >= limit)
+        bound = simd::kernels(simd::Choice::autoDetect)
+                    .maxGroupMin(values, std::min(n, kBoundGroupMax * limit),
+                                 limit);
+    // Storage is sized by the first call, so a k far above the
+    // candidate count reserves no more than is offered.
+    if (kept.capacity() == 0)
+        kept.reserve(std::min(n, limit));
+    const auto admit = [&](std::size_t j) {
+        const Entry cand{values[j], index_of(j)};
+        if (kept.size() == limit) {
+            offer(cand);
+        } else if (cand.value <= bound) {
+            kept.push_back(cand);
+            if (kept.size() == limit)
+                std::sort(kept.begin(), kept.end(), better);
+        }
+    };
+    const auto gate = [&] {
+        return kept.size() == limit ? kept.back().value : bound;
+    };
+    float worst = gate();
+    std::size_t j = 0;
     for (; j + kBlock <= n; j += kBlock) {
         const float *block = values + j;
-        const float worst = kept.back().value;
         // Counted compares keep the common no-hit block free of
         // branches; a block with a hit then offers only its hits.
         unsigned count = 0;
@@ -134,13 +164,12 @@ TopKMin::scan(const float *values, std::size_t n, IndexOf index_of)
         for (std::size_t l = 0; l < kBlock; ++l)
             hits |= static_cast<unsigned>(block[l] <= worst) << l;
         // A stale hit (the k-th value fell since) fails offer's test.
-        for (; hits != 0; hits &= hits - 1) {
-            const auto l = static_cast<std::size_t>(std::countr_zero(hits));
-            offer({block[l], index_of(j + l)});
-        }
+        for (; hits != 0; hits &= hits - 1)
+            admit(j + static_cast<std::size_t>(std::countr_zero(hits)));
+        worst = gate();
     }
     for (; j < n; ++j)
-        offer({values[j], index_of(j)});
+        admit(j);
 }
 
 void

@@ -126,7 +126,17 @@ std::vector<float> rowNormsSq(const Matrix &m,
  * compares (a candidate equal to it can still win on a lower index).
  * A block with no hit costs those eight compares; a block with a hit
  * offers its hits to the full (value, index) compare and
- * insertion-sorts the winners in.
+ * insertion-sorts the winners in. Until the array first fills, the
+ * test is against +inf, or, when an empty selector is offered at
+ * least 8k candidates at once, against the largest of k group minima
+ * (simd::Kernels::maxGroupMin): those are k distinct candidates no
+ * larger than it, so nothing above it can be among the k best, and
+ * the array starts near its final k-th value.
+ *
+ * NaN values are never retained: they fail every `<=` test. The
+ * selector keeps the k best of the non-NaN values offered, fewer
+ * than k when fewer are offered. No caller produces NaN from finite
+ * inputs.
  */
 class TopKMin
 {

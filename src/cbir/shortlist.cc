@@ -14,17 +14,16 @@ namespace
 /**
  * Column-block width of the fused scan. Chosen so one block of D=96
  * fp32 centroids (1.5 MiB) stays L2-resident while a grain of 8
- * query rows keeps the dist tile at 128 KiB; a multiple of 4, so the
- * blocked gemm tiles the same columns together as a full-width call
- * and fp32 bits cannot move (see shortlistScore's contract).
+ * query rows keeps the dist tile at 128 KiB. Every distance runs its
+ * own dot sequence whatever the kernel's tiling (shortlistScore's
+ * contract), so the block split cannot move a bit.
  */
 constexpr std::size_t kColBlock = 4096;
 
 /**
- * Row grain of the scan loop. Must match the historical gemmNt row
- * grain: the avx2 backend pairs query rows inside one kernel call,
- * so equal chunk shapes are what keep the blocked path bitwise equal
- * to the old materialize-then-score one.
+ * Row grain of the scan loop: a multiple of the avx2 kernel's four
+ * query rows per tile, so only a batch's last chunk can run
+ * remainder rows.
  */
 constexpr std::size_t kRowGrain = 8;
 

@@ -23,6 +23,7 @@
 #include <immintrin.h>
 
 #include <cmath>
+#include <limits>
 
 #include "simd/half.hh"
 
@@ -384,173 +385,64 @@ adcBatch4Avx2(const std::uint8_t *lut, const std::uint8_t *blocks,
 }
 
 /**
- * 2x4 register block: eight live accumulators (two A rows x four B
- * rows), each an 8-lane FMA chain over d. Remainders fall back to
- * 1x4 and then 1x1 tiles.
+ * B-row loaders of the register-blocked GEMM below: eight
+ * consecutive elements as fp32 lanes for the vector body, one
+ * element for the d % 8 tail. Both conversions are exact (VCVTPH2PS
+ * and the software halfToFloat agree bit for bit, half.hh), so an
+ * fp16 dot differs from an fp32 one only in what it reads.
  */
-REACH_AVX2 void
-gemmNtAvx2(const float *a, std::size_t n, const float *b,
-           std::size_t m, std::size_t d, float *c, std::size_t ldc)
+struct RowsF32
 {
-    std::size_t i = 0;
-    for (; i + 2 <= n; i += 2) {
-        const float *a0 = a + i * d;
-        const float *a1 = a0 + d;
-        float *c0 = c + i * ldc;
-        float *c1 = c0 + ldc;
-        std::size_t j = 0;
-        for (; j + 4 <= m; j += 4) {
-            const float *b0 = b + j * d;
-            const float *b1 = b0 + d;
-            const float *b2 = b1 + d;
-            const float *b3 = b2 + d;
-            __m256 p00 = _mm256_setzero_ps(),
-                   p01 = _mm256_setzero_ps(),
-                   p02 = _mm256_setzero_ps(),
-                   p03 = _mm256_setzero_ps();
-            __m256 p10 = _mm256_setzero_ps(),
-                   p11 = _mm256_setzero_ps(),
-                   p12 = _mm256_setzero_ps(),
-                   p13 = _mm256_setzero_ps();
-            std::size_t t = 0;
-            for (; t + 8 <= d; t += 8) {
-                __m256 va0 = _mm256_loadu_ps(a0 + t);
-                __m256 va1 = _mm256_loadu_ps(a1 + t);
-                __m256 vb0 = _mm256_loadu_ps(b0 + t);
-                __m256 vb1 = _mm256_loadu_ps(b1 + t);
-                __m256 vb2 = _mm256_loadu_ps(b2 + t);
-                __m256 vb3 = _mm256_loadu_ps(b3 + t);
-                p00 = _mm256_fmadd_ps(va0, vb0, p00);
-                p01 = _mm256_fmadd_ps(va0, vb1, p01);
-                p02 = _mm256_fmadd_ps(va0, vb2, p02);
-                p03 = _mm256_fmadd_ps(va0, vb3, p03);
-                p10 = _mm256_fmadd_ps(va1, vb0, p10);
-                p11 = _mm256_fmadd_ps(va1, vb1, p11);
-                p12 = _mm256_fmadd_ps(va1, vb2, p12);
-                p13 = _mm256_fmadd_ps(va1, vb3, p13);
-            }
-            float s00 = hsum256(p00), s01 = hsum256(p01);
-            float s02 = hsum256(p02), s03 = hsum256(p03);
-            float s10 = hsum256(p10), s11 = hsum256(p11);
-            float s12 = hsum256(p12), s13 = hsum256(p13);
-            for (; t < d; ++t) {
-                float v0 = a0[t], v1 = a1[t];
-                s00 = std::fma(v0, b0[t], s00);
-                s01 = std::fma(v0, b1[t], s01);
-                s02 = std::fma(v0, b2[t], s02);
-                s03 = std::fma(v0, b3[t], s03);
-                s10 = std::fma(v1, b0[t], s10);
-                s11 = std::fma(v1, b1[t], s11);
-                s12 = std::fma(v1, b2[t], s12);
-                s13 = std::fma(v1, b3[t], s13);
-            }
-            c0[j] = s00;
-            c0[j + 1] = s01;
-            c0[j + 2] = s02;
-            c0[j + 3] = s03;
-            c1[j] = s10;
-            c1[j + 1] = s11;
-            c1[j + 2] = s12;
-            c1[j + 3] = s13;
-        }
-        for (; j < m; ++j) {
-            const float *bj = b + j * d;
-            c0[j] = dotAvx2(a0, bj, d);
-            c1[j] = dotAvx2(a1, bj, d);
-        }
+    using Elem = float;
+    REACH_AVX2 static __m256
+    load8(const float *p)
+    {
+        return _mm256_loadu_ps(p);
     }
-    if (i < n) {
-        dotBatchAvx2(a + i * d, b, m, d, c + i * ldc);
-        // dotBatch writes m contiguous values == the final C row.
+    static float load1(const float *p) { return *p; }
+};
+
+struct RowsF16
+{
+    using Elem = std::uint16_t;
+    REACH_AVX2_F16 static __m256
+    load8(const std::uint16_t *p)
+    {
+        return _mm256_cvtph_ps(
+            _mm_loadu_si128(reinterpret_cast<const __m128i *>(p)));
     }
-}
+    static float load1(const std::uint16_t *p) { return halfToFloat(*p); }
+};
 
 /**
- * fp16 dot: one 8-lane FMA chain whose B operand streams through
- * VCVTPH2PS, hsum256, then an fma tail converting through the
- * software halfToFloat (bit-identical to the instruction, half.hh).
- * dotF16Scalar emulates exactly this sequence, so the backends agree
- * bitwise — the contract the shortlist fp16 determinism tests pin.
+ * The register-blocked GEMM is compiled once per loader, each copy
+ * under the target its loader needs: a function template carries one
+ * target for all its instances, and the fp32 GEMM must contain no
+ * F16C instruction, since dispatch keeps it on CPUs that lack F16C.
  */
-REACH_AVX2_F16 float
-dotF16Avx2(const float *a, const std::uint16_t *b, std::size_t d)
+namespace f32
 {
-    __m256 acc = _mm256_setzero_ps();
-    std::size_t t = 0;
-    for (; t + 8 <= d; t += 8) {
-        __m256 vb = _mm256_cvtph_ps(_mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(b + t)));
-        acc = _mm256_fmadd_ps(_mm256_loadu_ps(a + t), vb, acc);
-    }
-    float s = hsum256(acc);
-    for (; t < d; ++t)
-        s = std::fma(a[t], halfToFloat(b[t]), s);
-    return s;
-}
+#define REACH_GEMM_TARGET REACH_AVX2
+#include "simd/gemm_tile_avx2.inc"
+#undef REACH_GEMM_TARGET
+} // namespace f32
+
+namespace f16
+{
+#define REACH_GEMM_TARGET REACH_AVX2_F16
+#include "simd/gemm_tile_avx2.inc"
+#undef REACH_GEMM_TARGET
+} // namespace f16
 
 /**
- * Four centroid columns per step (four independent chains, the
- * dotBatchAvx2 shape) amortize each query load across four converts;
- * every chain performs exactly the dotF16Avx2 sequence for its
- * column, so the tiling never changes a value.
+ * Both formats run 4 x 3 tiles: twelve accumulators, three B chunks
+ * and one A chunk fill the sixteen ymm registers. Each fp16 centroid
+ * chunk is converted once per four queries instead of once per query,
+ * so VCVTPH2PS no longer competes with every FMA for the same ports;
+ * fp32 gains the same reuse of its B loads over its old 2 x 4 tile.
  */
-REACH_AVX2_F16 void
-gemmNtF16Avx2(const float *a, std::size_t n, const std::uint16_t *b,
-              std::size_t m, std::size_t d, float *c, std::size_t ldc)
-{
-    for (std::size_t i = 0; i < n; ++i) {
-        const float *ra = a + i * d;
-        float *rc = c + i * ldc;
-        std::size_t j = 0;
-        for (; j + 4 <= m; j += 4) {
-            const std::uint16_t *b0 = b + j * d;
-            const std::uint16_t *b1 = b0 + d;
-            const std::uint16_t *b2 = b1 + d;
-            const std::uint16_t *b3 = b2 + d;
-            __m256 a0 = _mm256_setzero_ps(), a1 = _mm256_setzero_ps();
-            __m256 a2 = _mm256_setzero_ps(), a3 = _mm256_setzero_ps();
-            std::size_t t = 0;
-            for (; t + 8 <= d; t += 8) {
-                __m256 va = _mm256_loadu_ps(ra + t);
-                a0 = _mm256_fmadd_ps(
-                    va,
-                    _mm256_cvtph_ps(_mm_loadu_si128(
-                        reinterpret_cast<const __m128i *>(b0 + t))),
-                    a0);
-                a1 = _mm256_fmadd_ps(
-                    va,
-                    _mm256_cvtph_ps(_mm_loadu_si128(
-                        reinterpret_cast<const __m128i *>(b1 + t))),
-                    a1);
-                a2 = _mm256_fmadd_ps(
-                    va,
-                    _mm256_cvtph_ps(_mm_loadu_si128(
-                        reinterpret_cast<const __m128i *>(b2 + t))),
-                    a2);
-                a3 = _mm256_fmadd_ps(
-                    va,
-                    _mm256_cvtph_ps(_mm_loadu_si128(
-                        reinterpret_cast<const __m128i *>(b3 + t))),
-                    a3);
-            }
-            float s0 = hsum256(a0), s1 = hsum256(a1);
-            float s2 = hsum256(a2), s3 = hsum256(a3);
-            for (; t < d; ++t) {
-                float av = ra[t];
-                s0 = std::fma(av, halfToFloat(b0[t]), s0);
-                s1 = std::fma(av, halfToFloat(b1[t]), s1);
-                s2 = std::fma(av, halfToFloat(b2[t]), s2);
-                s3 = std::fma(av, halfToFloat(b3[t]), s3);
-            }
-            rc[j] = s0;
-            rc[j + 1] = s1;
-            rc[j + 2] = s2;
-            rc[j + 3] = s3;
-        }
-        for (; j < m; ++j)
-            rc[j] = dotF16Avx2(ra, b + j * d, d);
-    }
-}
+constexpr auto gemmNtAvx2 = f32::gemmBlocked<4, 3, RowsF32>;
+constexpr auto gemmNtF16Avx2 = f16::gemmBlocked<4, 3, RowsF16>;
 
 /**
  * In-place shortlist epilogue over an (n x m) tile of dot products:
@@ -602,6 +494,28 @@ shortlistScoreF16Avx2(const float *a, const float *qn, std::size_t n,
     scoreEpilogueAvx2(qn, n, cnorm, m, out, ldo);
 }
 
+/** Group g's 8-lane running minimum over its chunks, then a min tree. */
+REACH_AVX2 float
+maxGroupMinAvx2(const float *values, std::size_t n, std::size_t groups)
+{
+    const std::size_t chunks = n / 8;
+    const float inf = std::numeric_limits<float>::infinity();
+    float bound = -inf;
+    for (std::size_t g = 0; g < groups; ++g) {
+        // _mm256_min_ps(x, m) returns m when x is NaN.
+        __m256 m = _mm256_set1_ps(inf);
+        for (std::size_t c = g; c < chunks; c += groups)
+            m = _mm256_min_ps(_mm256_loadu_ps(values + 8 * c), m);
+        __m128 x = _mm_min_ps(_mm256_castps256_ps128(m),
+                              _mm256_extractf128_ps(m, 1));
+        x = _mm_min_ps(x, _mm_movehl_ps(x, x));
+        x = _mm_min_ss(x, _mm_shuffle_ps(x, x, 1));
+        const float low = _mm_cvtss_f32(x);
+        bound = low > bound ? low : bound;
+    }
+    return bound;
+}
+
 } // namespace
 
 const Kernels &
@@ -612,7 +526,7 @@ avx2Kernels()
                            dotBatchAvx2,     dotIdxAvx2,
                            gemmNtAvx2,       adcBatchAvx2,
                            adcBatch4Avx2,    shortlistScoreAvx2,
-                           shortlistScoreF16Avx2};
+                           shortlistScoreF16Avx2, maxGroupMinAvx2};
     return k;
 }
 

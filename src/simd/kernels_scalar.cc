@@ -9,6 +9,7 @@
 #include "simd/kernels.hh"
 
 #include <cmath>
+#include <limits>
 
 #include "simd/half.hh"
 
@@ -252,6 +253,25 @@ shortlistScoreF16Scalar(const float *a, const float *qn,
     }
 }
 
+float
+maxGroupMinScalar(const float *values, std::size_t n, std::size_t groups)
+{
+    const std::size_t chunks = n / 8;
+    const float inf = std::numeric_limits<float>::infinity();
+    float bound = -inf;
+    for (std::size_t g = 0; g < groups; ++g) {
+        float low = inf;
+        for (std::size_t c = g; c < chunks; c += groups) {
+            for (std::size_t l = 0; l < 8; ++l) {
+                const float v = values[8 * c + l];
+                low = v < low ? v : low;
+            }
+        }
+        bound = low > bound ? low : bound;
+    }
+    return bound;
+}
+
 } // namespace
 
 const Kernels &
@@ -262,7 +282,7 @@ scalarKernels()
                            dotBatchScalar,     dotIdxScalar,
                            gemmNtScalar,       adcBatchScalar,
                            adcBatch4Scalar,    shortlistScoreScalar,
-                           shortlistScoreF16Scalar};
+                           shortlistScoreF16Scalar, maxGroupMinScalar};
     return k;
 }
 

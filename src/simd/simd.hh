@@ -242,6 +242,23 @@ struct Kernels
                               const float *cnorm, std::size_t m,
                               std::size_t d, float *out,
                               std::size_t ldo);
+    /**
+     * Largest of the group minima. values[0, n) is cut into 8-element
+     * chunks (the last n % 8 elements belong to no chunk) and the
+     * chunks are dealt to @p groups groups in turn: group g holds
+     * chunks g, g + groups, g + 2 * groups, ... The result is the
+     * maximum over the groups of each group's minimum. NaN elements
+     * are skipped, so a group with no other element (or with no
+     * chunk, when n < 8 * groups) has minimum +inf. Needs groups > 0.
+     * Only min and max, so both backends return the same value (a
+     * zero may differ in sign). The result bounds a k-smallest
+     * selection: the k group minima are k distinct elements no larger
+     * than it (TopKMin). Dealing chunks in turn, rather than cutting
+     * k contiguous runs, keeps the bound tight on inputs that are
+     * sorted or nearly so.
+     */
+    float (*maxGroupMin)(const float *values, std::size_t n,
+                         std::size_t groups);
 };
 
 /**

@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cbir/index.hh"
@@ -291,6 +292,166 @@ TEST(CutNearest, ThresholdSharedAcrossTheCut)
     for (std::size_t keep = 1; keep <= z.ids.size(); ++keep)
         expectCutMatches(z, keep, "signed zeros keep " +
                                       std::to_string(keep));
+}
+
+/**
+ * Inputs for the bounded first scan: an empty selector offered at
+ * least 8k candidates at once first bounds them by the largest of k
+ * group minima (8-element chunks dealt to k groups in turn, at most
+ * 256 candidates per group), and the array fills with the candidates
+ * <= that bound. Each shape is built so that a wrong bound, a strict
+ * filter or a group too few changes the answer.
+ */
+struct BoundedCase
+{
+    std::string name;
+    std::vector<float> values;
+    std::size_t k;
+};
+
+std::vector<BoundedCase>
+boundedCases()
+{
+    std::vector<BoundedCase> out;
+    const auto add = [&](std::string name, std::vector<float> v,
+                         std::size_t k) {
+        out.push_back({std::move(name), std::move(v), k});
+    };
+    for (std::size_t k : {std::size_t{1}, std::size_t{2}, std::size_t{5},
+                          std::size_t{10}, std::size_t{16}}) {
+        for (std::size_t n : {8 * k, 8 * k + 3, 13 * k + 5, 64 * k}) {
+            const std::string shape =
+                " n=" + std::to_string(n) + " k=" + std::to_string(k);
+            // Every candidate equals the bound.
+            add("equal" + shape, std::vector<float>(n, 0.5f), k);
+            std::vector<float> up(n), down(n);
+            for (std::size_t i = 0; i < n; ++i) {
+                up[i] = static_cast<float>(i);
+                down[i] = static_cast<float>(n - i);
+            }
+            add("ascending" + shape, up, k);
+            add("descending" + shape, down, k);
+            // Each group's minimum is 1.0 (so the bound is 1.0), more
+            // 1.0s spread over the groups, and k / 2 smaller values:
+            // the k best end in a tie at the bound. Group g's first
+            // chunk is chunk g.
+            std::vector<float> ties(n, 2.0f);
+            for (std::size_t g = 0; g < k; ++g) {
+                ties[8 * g + (g * 7) % 8] = 1.0f;
+                ties[(8 * (g + k) + (g * 3 + 1) % 8) % n] = 1.0f;
+            }
+            for (std::size_t i = 0; i < k / 2; ++i)
+                ties[(i * 11 + 5) % n] = 0.5f;
+            add("tiesAtBound" + shape, ties, k);
+            // -0.0 and +0.0 as every group's minimum.
+            std::vector<float> zeros(n, 1.0f);
+            for (std::size_t i = 0; i < n; i += 3)
+                zeros[i] = i % 2 ? -0.0f : 0.0f;
+            add("signedZeros" + shape, zeros, k);
+            // The smallest values in the tail past the last chunk.
+            if (n % 8 != 0) {
+                std::vector<float> tail(n);
+                for (std::size_t i = 0; i < n - n % 8; ++i)
+                    tail[i] = 3.0f + static_cast<float>(i % 5);
+                for (std::size_t i = n - n % 8; i < n; ++i)
+                    tail[i] = -static_cast<float>(i);
+                add("smallestInTail" + shape, tail, k);
+            }
+        }
+        // The smallest values past the prefix the groups cover (each
+        // group is at most 256 long).
+        const std::size_t n = 300 * k + 7;
+        std::vector<float> late(n);
+        for (std::size_t i = 0; i < n; ++i)
+            late[i] = static_cast<float>((i * 37) % 101);
+        for (std::size_t i = n - k; i < n; ++i)
+            late[i] = -1.0f;
+        add("smallestPastPrefix n=" + std::to_string(n) +
+                " k=" + std::to_string(k),
+            late, k);
+    }
+    // k = n / 8 exactly, random values of three kinds.
+    for (const Family &fam : kFamilies) {
+        for (std::size_t n : {8, 80, 257, 1024}) {
+            const Candidates c = makeCandidates(n, 41, fam.value);
+            add(std::string(fam.name) + " n=" + std::to_string(n) +
+                    " k=n/8",
+                c.values, n / 8);
+        }
+    }
+    return out;
+}
+
+TEST(TopKMinSelect, BoundedFirstScanMatchesFullSort)
+{
+    for (const BoundedCase &bc : boundedCases()) {
+        const std::size_t n = bc.values.size();
+        Candidates c;
+        c.values = bc.values;
+        for (std::size_t i = 0; i < n; ++i)
+            c.ids.push_back(static_cast<std::uint32_t>(i));
+        const std::vector<TopKMin::Entry> all = fullSort(c);
+        const std::size_t kept = std::min(bc.k, n);
+
+        TopKMin contiguous(bc.k);
+        contiguous.consider(c.values, 0);
+        expectSameEntries(contiguous.sorted(), {all.data(), kept},
+                          bc.name + " contiguous");
+
+        // The same values under ids in random order.
+        Candidates shuffled = makeCandidates(n, 43, levelValue);
+        shuffled.values = c.values;
+        const std::vector<TopKMin::Entry> want = fullSort(shuffled);
+        TopKMin indexed(bc.k);
+        indexed.consider(shuffled.values, shuffled.ids);
+        expectSameEntries(indexed.sorted(), {want.data(), kept},
+                          bc.name + " indexed");
+    }
+}
+
+/**
+ * NaN is never retained: the selector returns the k best of the
+ * non-NaN values, fewer when fewer are offered, on the bounded and
+ * the unbounded path, and when a whole group is NaN (the bound is
+ * then +inf).
+ */
+TEST(TopKMinSelect, NaNIsNeverRetained)
+{
+    for (std::size_t n : {5, 13, 64, 200, 1000}) {
+        for (std::size_t k : {std::size_t{1}, std::size_t{4},
+                              std::size_t{10}, n}) {
+            Candidates c = makeCandidates(n, 53, spreadValue);
+            for (std::size_t i = 0; i < n; i += 4)
+                c.values[i] = NAN;
+            // The first group is all NaN.
+            for (std::size_t i = 0; i < std::min(n, n / k); ++i)
+                c.values[i] = NAN;
+            Candidates finite;
+            for (std::size_t i = 0; i < n; ++i) {
+                if (!std::isnan(c.values[i])) {
+                    finite.values.push_back(c.values[i]);
+                    finite.ids.push_back(c.ids[i]);
+                }
+            }
+            const std::vector<TopKMin::Entry> want = fullSort(finite);
+            const std::string what =
+                "n=" + std::to_string(n) + " k=" + std::to_string(k);
+
+            TopKMin top(k);
+            top.consider(c.values, c.ids);
+            expectSameEntries(top.sorted(),
+                              {want.data(), std::min(k, want.size())},
+                              what);
+
+            // NaN after the array is full, fed one value at a time.
+            TopKMin streamed(k);
+            for (std::size_t i = 0; i < n; ++i)
+                streamed.consider({&c.values[i], 1}, {&c.ids[i], 1});
+            expectSameEntries(streamed.sorted(),
+                              {want.data(), std::min(k, want.size())},
+                              what + " streamed");
+        }
+    }
 }
 
 /**

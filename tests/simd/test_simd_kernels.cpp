@@ -404,7 +404,7 @@ TEST(SimdAdc, Batch4BackendsAgreeBitwise)
 
 TEST_P(SimdBackend, GemmNtMatchesDotReference)
 {
-    // Odd shapes exercise the 2x4 block and both remainders.
+    // Odd shapes exercise the 4x3 tile and both remainders.
     const std::size_t n = 5, m = 7;
     for (std::size_t d : kLengths) {
         auto a = randomVec(n * d, 300 + d);
@@ -506,6 +506,112 @@ TEST_P(SimdBackend, GemmNtF16RespectsOutputStride)
         for (std::size_t j = m; j < ldc; ++j)
             EXPECT_EQ(c[i * ldc + j], 7.0f) << "stride gap clobbered";
     }
+}
+
+/**
+ * Tiling never changes a value: every element of the fp32 and fp16
+ * GEMMs equals the one-element call on its own row pair bit for bit
+ * (for fp16, a 1 x 1 shortlistScoreF16 runs the lone dot). n up to 9
+ * and m up to 13 put every element in a full tile, a row remainder or
+ * a column remainder of the avx2 4 x 3 tiling; d = 8, 96 and 100 run
+ * no tail, the engine's dimension and a d % 8 tail.
+ */
+TEST_P(SimdBackend, GemmNtEveryTileMatchesLoneDotBitwise)
+{
+    for (std::size_t d : {std::size_t{8}, std::size_t{96},
+                          std::size_t{100}}) {
+        auto a = randomVec(9 * d, 4100 + d);
+        auto b = randomVec(13 * d, 4200 + d);
+        F16Fixture bh(13 * d, 4300 + d);
+        for (std::size_t n = 1; n <= 9; ++n) {
+            for (std::size_t m = 1; m <= 13; ++m) {
+                std::vector<float> c(n * m), c16(n * m);
+                k().gemmNt(a.data(), n, b.data(), m, d, c.data(), m);
+                f16Dots(k(), a.data(), n, bh.h.data(), m, d, c16.data(),
+                        m);
+                for (std::size_t i = 0; i < n; ++i) {
+                    for (std::size_t j = 0; j < m; ++j) {
+                        const float *ai = a.data() + i * d;
+                        const float want = k().dot(ai, b.data() + j * d, d);
+                        float want16 = 0;
+                        f16Dots(k(), ai, 1, bh.h.data() + j * d, 1, d,
+                                &want16, 1);
+                        EXPECT_EQ(c[i * m + j], want)
+                            << "fp32 (" << i << "," << j << ") n=" << n
+                            << " m=" << m << " d=" << d;
+                        EXPECT_EQ(c16[i * m + j], want16)
+                            << "fp16 (" << i << "," << j << ") n=" << n
+                            << " m=" << m << " d=" << d;
+                    }
+                }
+            }
+        }
+    }
+}
+
+namespace
+{
+
+/**
+ * maxGroupMin by its definition: element t is in chunk t / 8, which
+ * belongs to group (t / 8) % groups; the n % 8 tail is in none.
+ */
+float
+maxGroupMinReference(const std::vector<float> &v, std::size_t groups)
+{
+    std::vector<float> low(groups, INFINITY);
+    for (std::size_t t = 0; t < v.size() / 8 * 8; ++t) {
+        float &m = low[t / 8 % groups];
+        if (!std::isnan(v[t]))
+            m = std::min(m, v[t]);
+    }
+    return *std::max_element(low.begin(), low.end());
+}
+
+} // namespace
+
+/**
+ * maxGroupMin against its definition: one to many chunks per group,
+ * groups without a chunk, a tail past the last chunk holding the
+ * smallest value, and NaNs skipped.
+ */
+TEST_P(SimdBackend, MaxGroupMinMatchesDefinition)
+{
+    for (std::size_t n : {1, 5, 8, 13, 64, 100, 257, 1024}) {
+        for (std::size_t groups : {std::size_t{1}, std::size_t{2},
+                                   std::size_t{3}, std::size_t{10},
+                                   n}) {
+            std::vector<float> v = randomVec(n, 5000 + n + groups);
+            EXPECT_EQ(k().maxGroupMin(v.data(), n, groups),
+                      maxGroupMinReference(v, groups))
+                << "n=" << n << " groups=" << groups;
+            if (n % 8 != 0) {
+                v[n - 1] = -1e30f;
+                EXPECT_EQ(k().maxGroupMin(v.data(), n, groups),
+                          maxGroupMinReference(v, groups))
+                    << "tail n=" << n << " groups=" << groups;
+            }
+            // Every third element NaN.
+            for (std::size_t t = 0; t < n; t += 3)
+                v[t] = NAN;
+            EXPECT_EQ(k().maxGroupMin(v.data(), n, groups),
+                      maxGroupMinReference(v, groups))
+                << "nan n=" << n << " groups=" << groups;
+        }
+    }
+    // Ascending values: group g's minimum is its first chunk's first
+    // element, 8 * g.
+    std::vector<float> up(160);
+    for (std::size_t t = 0; t < up.size(); ++t)
+        up[t] = static_cast<float>(t);
+    EXPECT_EQ(k().maxGroupMin(up.data(), 160, 4), 24.0f);
+    // A group whose chunks are all NaN has minimum +inf.
+    std::vector<float> v(32, 1.0f);
+    std::fill(v.begin() + 8, v.begin() + 16, NAN);
+    std::fill(v.begin() + 24, v.end(), NAN);
+    EXPECT_EQ(k().maxGroupMin(v.data(), 32, 2), INFINITY);
+    EXPECT_EQ(k().maxGroupMin(v.data(), 32, 4), INFINITY);
+    EXPECT_EQ(k().maxGroupMin(v.data(), 32, 1), 1.0f);
 }
 
 /**
