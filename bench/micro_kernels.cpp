@@ -2,7 +2,7 @@
  * @file
  * google-benchmark microbenchmarks of the functional CBIR kernels:
  * the GEMM, partial sort and distance primitives the FPGA engines
- * implement, plus k-means and the mini CNN; the discrete-event queue
+ * implement, plus k-means; the discrete-event queue
  * hot path (schedule/run/deschedule mix); the thread pool's wake
  * latency; and the parallel figure-sweep runner. These are host-CPU numbers (sanity and
  * regression tracking), not simulated-FPGA numbers.
@@ -20,7 +20,6 @@
 
 #include "cbir/kmeans.hh"
 #include "cbir/linalg.hh"
-#include "cbir/mini_cnn.hh"
 #include "cbir/pq.hh"
 #include "cbir/rerank.hh"
 #include "cbir/shortlist.hh"
@@ -921,18 +920,6 @@ BENCHMARK_CAPTURE(BM_EngineBatchPhase, refine_cut, EnginePhase::refineCut);
 BENCHMARK_CAPTURE(BM_EngineBatchPhase, refine_dots,
                   EnginePhase::refineDots);
 BENCHMARK_CAPTURE(BM_EngineBatchPhase, final_top_k, EnginePhase::finalTopK);
-
-void
-BM_MiniCnnExtract(benchmark::State &state)
-{
-    MiniCnn cnn;
-    Image img = makeSyntheticImage(1, 7);
-    for (auto _ : state) {
-        auto f = cnn.extract(img);
-        benchmark::DoNotOptimize(f.data());
-    }
-}
-BENCHMARK(BM_MiniCnnExtract);
 
 /**
  * Schedule/run/deschedule mix modeled on GAM status polling: waves

@@ -37,15 +37,6 @@ normSq(std::span<const float> a, simd::Choice backend)
 }
 
 void
-axpy(float alpha, std::span<const float> x, std::span<float> y,
-     simd::Choice backend)
-{
-    if (x.size() != y.size())
-        sim::panic("axpy: length mismatch");
-    simd::kernels(backend).axpy(alpha, x.data(), y.data(), x.size());
-}
-
-void
 gemmNt(const Matrix &a, const Matrix &b, Matrix &c,
        const parallel::ParallelConfig &par)
 {

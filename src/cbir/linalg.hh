@@ -87,10 +87,6 @@ float l2sq(std::span<const float> a, std::span<const float> b,
 float normSq(std::span<const float> a,
              simd::Choice backend = simd::Choice::autoDetect);
 
-/** y += alpha * x. */
-void axpy(float alpha, std::span<const float> x, std::span<float> y,
-          simd::Choice backend = simd::Choice::autoDetect);
-
 /**
  * C = A * B^T with a register-blocked SIMD micro-kernel, parallel
  * over row blocks of A. A is (n x d), B is (m x d), C is (n x m):

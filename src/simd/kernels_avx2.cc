@@ -94,20 +94,6 @@ normSqAvx2(const float *a, std::size_t d)
     return dotAvx2(a, a, d);
 }
 
-REACH_AVX2 void
-axpyAvx2(float alpha, const float *x, float *y, std::size_t d)
-{
-    __m256 va = _mm256_set1_ps(alpha);
-    std::size_t t = 0;
-    for (; t + 8 <= d; t += 8) {
-        __m256 vy = _mm256_fmadd_ps(va, _mm256_loadu_ps(x + t),
-                                    _mm256_loadu_ps(y + t));
-        _mm256_storeu_ps(y + t, vy);
-    }
-    for (; t < d; ++t)
-        y[t] = std::fma(alpha, x[t], y[t]);
-}
-
 /**
  * Four rows per step: four independent accumulator chains give the
  * FMA units work to hide latency, while each chain performs exactly
@@ -522,10 +508,10 @@ const Kernels &
 avx2Kernels()
 {
     static const Kernels k{dotAvx2,          l2sqAvx2,
-                           normSqAvx2,       axpyAvx2,
-                           dotBatchAvx2,     dotIdxAvx2,
-                           gemmNtAvx2,       adcBatchAvx2,
-                           adcBatch4Avx2,    shortlistScoreAvx2,
+                           normSqAvx2,       dotBatchAvx2,
+                           dotIdxAvx2,       gemmNtAvx2,
+                           adcBatchAvx2,     adcBatch4Avx2,
+                           shortlistScoreAvx2,
                            shortlistScoreF16Avx2, maxGroupMinAvx2};
     return k;
 }

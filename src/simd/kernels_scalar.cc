@@ -46,13 +46,6 @@ normSqScalar(const float *a, std::size_t d)
 }
 
 void
-axpyScalar(float alpha, const float *x, float *y, std::size_t d)
-{
-    for (std::size_t t = 0; t < d; ++t)
-        y[t] += alpha * x[t];
-}
-
-void
 dotBatchScalar(const float *q, const float *rows, std::size_t n,
                std::size_t d, float *out)
 {
@@ -278,10 +271,10 @@ const Kernels &
 scalarKernels()
 {
     static const Kernels k{dotScalar,          l2sqScalar,
-                           normSqScalar,       axpyScalar,
-                           dotBatchScalar,     dotIdxScalar,
-                           gemmNtScalar,       adcBatchScalar,
-                           adcBatch4Scalar,    shortlistScoreScalar,
+                           normSqScalar,       dotBatchScalar,
+                           dotIdxScalar,       gemmNtScalar,
+                           adcBatchScalar,     adcBatch4Scalar,
+                           shortlistScoreScalar,
                            shortlistScoreF16Scalar, maxGroupMinScalar};
     return k;
 }

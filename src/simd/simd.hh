@@ -156,8 +156,6 @@ struct Kernels
     float (*l2sq)(const float *a, const float *b, std::size_t d);
     /** sum_t a[t]^2, bitwise equal to dot(a, a, d). */
     float (*normSq)(const float *a, std::size_t d);
-    /** y[t] += alpha * x[t] */
-    void (*axpy)(float alpha, const float *x, float *y, std::size_t d);
     /** out[r] = dot(q, rows + r*d) for r in [0, n). */
     void (*dotBatch)(const float *q, const float *rows, std::size_t n,
                      std::size_t d, float *out);

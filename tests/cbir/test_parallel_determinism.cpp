@@ -12,7 +12,6 @@
 
 #include "cbir/kmeans.hh"
 #include "cbir/linalg.hh"
-#include "cbir/mini_cnn.hh"
 #include "cbir/rerank.hh"
 #include "cbir/shortlist.hh"
 #include "sim/rng.hh"
@@ -128,22 +127,6 @@ TEST(ParallelDeterminism, KMeansIdenticalAcrossThreadCounts)
     EXPECT_EQ(r1.iterations, rN.iterations);
     EXPECT_EQ(r1.inertia, rN.inertia); // bitwise, not just close
     expectSameFloats(r1.centroids.flat(), rN.centroids.flat());
-}
-
-TEST(ParallelDeterminism, MiniCnnBatchIdenticalAcrossThreadCounts)
-{
-    std::vector<Image> imgs;
-    for (std::uint32_t i = 0; i < 6; ++i)
-        imgs.push_back(makeSyntheticImage(i % 3, 21 + i));
-
-    MiniCnnConfig c1;
-    c1.parallel = parallel::ParallelConfig::serial();
-    MiniCnnConfig cN = c1;
-    cN.parallel = parallel::ParallelConfig{kThreads};
-
-    Matrix f1 = MiniCnn(c1).extractBatch(imgs);
-    Matrix fN = MiniCnn(cN).extractBatch(imgs);
-    expectSameFloats(f1.flat(), fN.flat());
 }
 
 namespace

@@ -1,73 +1,18 @@
 /**
  * @file
- * Integration tests: functional CBIR retrieval end-to-end (images ->
- * features -> index -> shortlist -> rerank -> recall) combined with
- * the timing simulation of the same pipeline on the full machine.
+ * Integration tests: functional CBIR retrieval end-to-end (features
+ * -> index -> shortlist -> rerank -> recall) combined with the timing
+ * simulation of the same pipeline on the full machine.
  */
 
 #include <gtest/gtest.h>
 
-#include "cbir/mini_cnn.hh"
-#include "cbir/pca.hh"
 #include "cbir/rerank.hh"
 #include "cbir/shortlist.hh"
 #include "core/cbir_deployment.hh"
 #include "workload/dataset.hh"
 
 using namespace reach;
-
-TEST(EndToEnd, FunctionalImagePipelineRecall)
-{
-    // Build a small image database with class structure, extract CNN
-    // features, compress with PCA, index with k-means, and check
-    // that retrieval returns same-class images.
-    cbir::MiniCnnConfig ccfg;
-    ccfg.featureDim = 64;
-    cbir::MiniCnn cnn(ccfg);
-
-    const int classes = 8, per_class = 12;
-    std::vector<cbir::Image> images;
-    std::vector<int> labels;
-    for (int c = 0; c < classes; ++c) {
-        for (int i = 0; i < per_class; ++i) {
-            images.push_back(cbir::makeSyntheticImage(
-                static_cast<std::uint32_t>(c), 40'000 + c * 131 + i));
-            labels.push_back(c);
-        }
-    }
-    cbir::Matrix raw = cnn.extractBatch(images);
-
-    // PCA compression (the paper compresses to D=96; here D=16).
-    cbir::Pca pca(raw, 16);
-    cbir::Matrix feats = pca.transform(raw);
-
-    cbir::KMeansConfig kc;
-    kc.clusters = 12;
-    cbir::InvertedFileIndex index(feats, kc);
-
-    // Queries: fresh images of known classes.
-    std::vector<cbir::Image> qimgs;
-    for (int c = 0; c < classes; ++c)
-        qimgs.push_back(cbir::makeSyntheticImage(
-            static_cast<std::uint32_t>(c), 90'000 + c));
-    cbir::Matrix queries = pca.transform(cnn.extractBatch(qimgs));
-
-    auto lists = cbir::shortlistRetrieve(queries, index, 4);
-    cbir::RerankConfig rcfg;
-    rcfg.k = 5;
-    rcfg.maxCandidates = 0;
-    auto results = cbir::rerank(queries, feats, index, lists, rcfg);
-
-    // Majority of top-5 should share the query's class.
-    int votes_correct = 0, votes_total = 0;
-    for (int c = 0; c < classes; ++c) {
-        for (const auto &n : results[static_cast<std::size_t>(c)]) {
-            ++votes_total;
-            votes_correct += (labels[n.id] == c);
-        }
-    }
-    EXPECT_GT(static_cast<double>(votes_correct) / votes_total, 0.6);
-}
 
 TEST(EndToEnd, ShortlistPruningRecallVsBruteForce)
 {
