@@ -240,7 +240,7 @@ main(int argc, char **argv)
                      smoke ? "true" : "false");
         std::fprintf(f, "    \"dataset_vectors\": %zu,\n",
                      ds.size());
-        std::fprintf(f, "    \"dim\": %u,\n", dc.dim);
+        std::fprintf(f, "    \"dim\": %zu,\n", dc.dim);
         std::fprintf(f, "    \"queries\": %zu,\n", queries.rows());
         std::fprintf(f, "    \"nprobe\": %zu,\n", nprobe);
         std::fprintf(f, "    \"candidate_budget\": %zu\n",

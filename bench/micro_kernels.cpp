@@ -1027,6 +1027,27 @@ BENCHMARK(BM_Fig13SweepJobs)
     ->Arg(8)
     ->UseRealTime();
 
+/**
+ * k-means++ seeding alone on the perfbench query-exact index build
+ * (60k x 96, K = 192): no Lloyd iteration, one thread.
+ */
+void
+BM_KMeansSeeding(benchmark::State &state)
+{
+    workload::DatasetConfig dc;
+    dc.numVectors = 60'000;
+    workload::Dataset ds(dc);
+    KMeansConfig kc;
+    kc.clusters = 192;
+    kc.maxIterations = 0;
+    kc.parallel = parallel::ParallelConfig{1};
+    for (auto _ : state) {
+        auto res = kMeans(ds.vectors(), kc);
+        benchmark::DoNotOptimize(res.centroids.flat().data());
+    }
+}
+BENCHMARK(BM_KMeansSeeding);
+
 void
 BM_KMeansIteration(benchmark::State &state)
 {

@@ -142,48 +142,101 @@ centroidNorms(const simd::Kernels &k, const Matrix &centroids,
         cnorm[c] = k.normSq(centroids.row(c).data(), centroids.cols());
 }
 
+/** Points per seeding block: its ids and distances stay in cache. */
+constexpr std::size_t kSeedBlock = 2048;
+
+/**
+ * One seeding block's bound test: writes to @p ids the points of
+ * [b, e) whose l2sq to the newest seed must be computed, and returns
+ * how many. It also adds @p pending to @p total in order, one value
+ * per tested point (pending.size() <= e - b), so the serial add chain
+ * overlaps the tests. Out of line so that total stays in a register:
+ * the kernel call between blocks clobbers every vector register, and
+ * inlined, GCC 12 kept total in memory through the whole loop.
+ */
+[[gnu::noinline]] std::size_t
+testSeedBlock(const RoundingBounds &bounds, const float *gap,
+              const std::uint32_t *nearest, const float *min_d,
+              std::size_t b, std::size_t e, std::span<const float> pending,
+              double &total, std::uint32_t *ids)
+{
+    std::size_t m = 0;
+    const auto test = [&](std::size_t i) {
+        ids[m] = static_cast<std::uint32_t>(i);
+        m += !bounds.seedCannotWin(gap[nearest[i]], min_d[i]);
+    };
+    double t = total;
+    for (std::size_t j = 0; j < pending.size(); ++j) {
+        test(b + j);
+        t += pending[j];
+    }
+    total = t;
+    for (std::size_t i = b + pending.size(); i < e; ++i)
+        test(i);
+    return m;
+}
+
 /**
  * k-means++ seeding: spread initial centroids by D^2 sampling. Each
  * point keeps its nearest seed so far in @p nearest; a new seed far
  * enough from that one cannot change the point's distance, so its
- * l2sq is skipped (DESIGN §4p). The sampled seeds are those of the
- * full scan.
+ * l2sq is skipped (DESIGN §4p). Each round walks the points in
+ * ascending blocks: the bound test compacts a block's survivors, one
+ * l2sqIdx call scores them all, and the block's distances join the
+ * total in point order, so every value and sum is the full scan's
+ * and so are the sampled seeds.
  */
 Matrix
 seedCentroids(const Matrix &points, std::size_t k, sim::Rng &rng,
               const simd::Kernels &kern, const RoundingBounds &bounds,
-              std::vector<std::uint32_t> &nearest)
+              std::vector<std::uint32_t> &nearest, KMeansWork &work)
 {
+    const std::size_t n = points.rows();
     const std::size_t dim = points.cols();
     Matrix centroids(k, dim);
-    std::size_t first = rng.nextUInt(points.rows());
+    std::size_t first = rng.nextUInt(n);
     std::copy(points.row(first).begin(), points.row(first).end(),
               centroids.row(0).begin());
 
-    std::vector<float> min_d(points.rows(),
-                             std::numeric_limits<float>::max());
-    nearest.assign(points.rows(), 0);
+    std::vector<float> min_d(n, std::numeric_limits<float>::max());
+    nearest.assign(n, 0);
     // gap[j]: l2sq from the newest seed to seed j.
     std::vector<float> gap(k);
+    std::vector<std::uint32_t> ids(std::min(n, kSeedBlock));
+    std::vector<float> dist(ids.size());
     for (std::size_t c = 1; c < k; ++c) {
         const float *seed = centroids.row(c - 1).data();
+        const auto newest = static_cast<std::uint32_t>(c - 1);
         for (std::size_t j = 0; j < c; ++j)
             gap[j] = kern.l2sq(seed, centroids.row(j).data(), dim);
         double total = 0;
-        for (std::size_t i = 0; i < points.rows(); ++i) {
-            if (!bounds.seedCannotWin(gap[nearest[i]], min_d[i])) {
-                float d = kern.l2sq(points.row(i).data(), seed, dim);
-                if (d < min_d[i]) {
-                    min_d[i] = d;
-                    nearest[i] = static_cast<std::uint32_t>(c - 1);
-                }
+        std::size_t summed = 0; // min_d[0, summed) are in total
+        for (std::size_t b = 0; b < n; b += kSeedBlock) {
+            const std::size_t e = std::min(n, b + kSeedBlock);
+            // min_d[summed, b) are final: add them with this block's
+            // tests.
+            const std::span<const float> pending(
+                min_d.data() + summed, std::min(e - b, b - summed));
+            const std::size_t m =
+                testSeedBlock(bounds, gap.data(), nearest.data(),
+                              min_d.data(), b, e, pending, total, ids.data());
+            summed += pending.size();
+            kern.l2sqIdx(seed, points.flat().data(), ids.data(), m, dim,
+                         dist.data());
+            work.seedL2sq += m;
+            for (std::size_t r = 0; r < m; ++r) {
+                const std::uint32_t i = ids[r];
+                const bool closer = dist[r] < min_d[i];
+                min_d[i] = closer ? dist[r] : min_d[i];
+                nearest[i] = closer ? newest : nearest[i];
             }
-            total += min_d[i];
         }
+        for (; summed < n; ++summed)
+            total += min_d[summed];
         double target = rng.nextDouble() * total;
         double run = 0;
-        std::size_t chosen = points.rows() - 1;
-        for (std::size_t i = 0; i < points.rows(); ++i) {
+        std::size_t chosen = n - 1;
+        for (std::size_t i = 0; i < n; ++i) {
             run += min_d[i];
             if (run >= target) {
                 chosen = i;
@@ -196,32 +249,24 @@ seedCentroids(const Matrix &points, std::size_t k, sim::Rng &rng,
     return centroids;
 }
 
-/** One entry of a centroid's neighbour table. */
-struct Neighbour
-{
-    float l2;
-    std::uint32_t id;
-
-    bool
-    operator<(const Neighbour &o) const
-    {
-        return l2 < o.l2 || (l2 == o.l2 && id < o.id);
-    }
-};
+/** One entry of a centroid's neighbour table: l2sq and centroid id. */
+using Neighbour = TopKMin::Entry;
 
 /**
  * Each centroid's kNeighbours nearest other centroids by computed
- * l2sq, nearest first; every centroid left out of a row is at least
- * as far as the row's last entry.
+ * l2sq, nearest first, ties to the lower id; every centroid left out
+ * of a row is at least as far as the row's last entry.
  */
 class NeighbourTable
 {
   public:
     NeighbourTable(std::size_t k, const parallel::ParallelConfig &par)
         : k(k), width(std::min(kNeighbours, k - 1)), par(par),
-          entries(k * width), pairs(parallel::detail::chunkCount(
-                                        k, kRowGrain) * k)
+          entries(k * width), all(k),
+          dists(parallel::detail::chunkCount(k, kRowGrain) * k)
     {
+        for (std::size_t c = 0; c < k; ++c)
+            all[c] = static_cast<std::uint32_t>(c);
     }
 
     void
@@ -231,19 +276,19 @@ class NeighbourTable
         parallel::parallelFor(
             0, k, kRowGrain,
             [&](std::size_t b, std::size_t e) {
-                Neighbour *row = pairs.data() + b / kRowGrain * k;
+                float *d = dists.data() + b / kRowGrain * k;
+                TopKMin nearest(width);
                 for (std::size_t a = b; a < e; ++a) {
-                    const float *ca = centroids.row(a).data();
-                    std::size_t n = 0;
-                    for (std::size_t c = 0; c < k; ++c) {
-                        if (c == a)
-                            continue;
-                        row[n++] = {kern.l2sq(ca, centroids.row(c).data(),
-                                              dim),
-                                    static_cast<std::uint32_t>(c)};
-                    }
-                    std::partial_sort(row, row + width, row + n);
-                    std::copy(row, row + width,
+                    // d[c] is l2sq(ca, C_c) bit for bit (simd.hh).
+                    kern.l2sqIdx(centroids.row(a).data(),
+                                 centroids.flat().data(), all.data(), k,
+                                 dim, d);
+                    nearest.clear();
+                    nearest.consider({d, a}, 0);
+                    nearest.consider({d + a + 1, k - a - 1},
+                                     static_cast<std::uint32_t>(a + 1));
+                    std::span<const Neighbour> row = nearest.sorted();
+                    std::copy(row.begin(), row.end(),
                               entries.begin() + a * width);
                 }
             },
@@ -265,8 +310,10 @@ class NeighbourTable
     std::size_t width;
     parallel::ParallelConfig par;
     std::vector<Neighbour> entries;
-    /** One row of candidate pairs per chunk of kRowGrain centroids. */
-    std::vector<Neighbour> pairs;
+    /** The ids 0, 1, ..., k - 1. */
+    std::vector<std::uint32_t> all;
+    /** One row of distances per chunk of kRowGrain centroids. */
+    std::vector<float> dists;
 };
 
 /**
@@ -290,10 +337,12 @@ struct Assigner
      */
     NearestHit
     nearest(const float *x, float qn, std::uint32_t a, float *dots,
-            std::uint32_t *ids) const
+            std::uint32_t *ids, std::uint64_t &scores) const
     {
-        if (!table || !(qn + cmax < kPruneRange))
+        if (!table || !(qn + cmax < kPruneRange)) {
+            scores += centroids.rows();
             return nearestByDecomposition(kern, centroids, cnorm, x, dots);
+        }
         const std::size_t dim = centroids.cols();
         const float *base = centroids.flat().data();
         const float sa = cnorm[a] - 2.0f * kern.dot(x, base + a * dim, dim);
@@ -301,10 +350,13 @@ struct Assigner
             double(qn) + sa, bounds.scoreError(qn, cmax));
         std::span<const Neighbour> row = table->of(a);
         std::size_t m = 0;
-        for (; m < row.size() && !(row[m].l2 > cutoff); ++m)
-            ids[m] = row[m].id;
-        if (m == row.size() && !table->holdsAll())
+        for (; m < row.size() && !(row[m].value > cutoff); ++m)
+            ids[m] = row[m].index;
+        if (m == row.size() && !table->holdsAll()) {
+            scores += centroids.rows() + 1;
             return nearestByDecomposition(kern, centroids, cnorm, x, dots);
+        }
+        scores += 1 + m;
         kern.dotIdx(x, base, ids, m, dim, dots);
         NearestHit hit;
         hit.offer(a, sa);
@@ -345,8 +397,9 @@ kMeans(const Matrix &points, const KMeansConfig &cfg)
     sim::Rng rng(cfg.seed);
     KMeansResult res;
     // Iteration 0 starts each point from its nearest seed.
-    res.centroids =
-        seedCentroids(points, k, rng, kern, bounds, res.assignment);
+    res.centroids = seedCentroids(points, k, rng, kern, bounds,
+                                  res.assignment, res.work);
+    res.work.seedL2sqOffered = (k - 1) * n;
 
     // The grain depends only on the point count (never the thread
     // count) so the chunk-ordered folds below are bitwise identical
@@ -359,15 +412,23 @@ kMeans(const Matrix &points, const KMeansConfig &cfg)
     // slices and the per-range sum columns, written once per point,
     // start on their own cache lines.
     std::vector<float> cnorm(k);
+    // ||x||^2 once per call: the kernel and its input never change.
+    const std::vector<float> pointNorms = rowNormsSq(points, cfg.parallel);
     NeighbourTable table(k, cfg.parallel);
     const std::size_t dotsStride = roundUp(k, kLineFloats);
     AlignedVector<float> chunkDots(chunks * dotsStride);
     AlignedVector<std::uint32_t> chunkIds(chunks * kNeighbours);
     std::vector<double> chunkInertia(chunks);
+    std::vector<std::uint64_t> chunkScores(chunks);
     const std::size_t sumsStride = roundUp(dim, kLineDoubles);
     AlignedVector<double> chunkSums(k * sumsStride);
     AlignedVector<double> sums(k * sumsStride);
     std::vector<std::uint32_t> counts(k);
+    std::vector<std::size_t> lastChunk(k);
+    // A chunk touches at most min(grain, k) clusters; the compaction
+    // writes one slot past the last.
+    std::vector<std::uint32_t> touched(chunks * std::min(grain, k) + 1);
+    std::vector<std::size_t> touchedBegin(chunks + 1);
 
     double prev_inertia = std::numeric_limits<double>::max();
 
@@ -397,25 +458,50 @@ kMeans(const Matrix &points, const KMeansConfig &cfg)
                 std::uint32_t *ids =
                     chunkIds.data() + b / grain * kNeighbours;
                 double inertia = 0;
+                std::uint64_t scores = 0;
                 for (std::size_t i = b; i < e; ++i) {
                     const float *x = points.row(i).data();
-                    const float qn = kern.normSq(x, dim);
+                    const float qn = pointNorms[i];
                     NearestHit hit = assign.nearest(
-                        x, qn, res.assignment[i], dots, ids);
+                        x, qn, res.assignment[i], dots, ids, scores);
                     res.assignment[i] = hit.index;
                     inertia += std::max(qn + hit.score, 0.0f);
                 }
                 chunkInertia[b / grain] = inertia;
+                chunkScores[b / grain] = scores;
             },
             cfg.parallel);
         double inertia = 0;
         for (double p : chunkInertia)
             inertia += p;
         res.inertia = inertia;
+        for (std::uint64_t s : chunkScores)
+            res.work.lloydScores += s;
+        res.work.lloydScoresOffered += n * k;
+
+        // Cluster counts, and each chunk's touched clusters: the ids
+        // its points are assigned to, each once.
+        std::fill(counts.begin(), counts.end(), 0u);
+        std::fill(lastChunk.begin(), lastChunk.end(), chunks);
+        std::size_t nTouched = 0;
+        for (std::size_t ch = 0; ch < chunks; ++ch) {
+            touchedBegin[ch] = nTouched;
+            const std::size_t end = std::min(n, (ch + 1) * grain);
+            for (std::size_t i = ch * grain; i < end; ++i) {
+                const std::uint32_t c = res.assignment[i];
+                touched[nTouched] = c;
+                nTouched += lastChunk[c] != ch;
+                lastChunk[c] = ch;
+                ++counts[c];
+            }
+        }
+        touchedBegin[chunks] = nTouched;
 
         // Cluster sums: each (cluster, dim) element sums every chunk's
         // members in point order into a zeroed chunk buffer, then
-        // folds that into the total in chunk order. Dimension ranges
+        // folds that into the total in chunk order. A row no point of
+        // the chunk touched would fold +0.0, a no-op (no sum is ever
+        // -0.0), so it is neither zeroed nor folded. Dimension ranges
         // split the work, so the adds are the same at any thread
         // count.
         std::fill(sums.begin(), sums.end(), 0.0);
@@ -426,7 +512,10 @@ kMeans(const Matrix &points, const KMeansConfig &cfg)
             0, dim, dimGrain,
             [&](std::size_t d0, std::size_t d1) {
                 for (std::size_t b = 0; b < n; b += grain) {
-                    for (std::size_t c = 0; c < k; ++c) {
+                    const std::span<const std::uint32_t> rows(
+                        touched.data() + touchedBegin[b / grain],
+                        touched.data() + touchedBegin[b / grain + 1]);
+                    for (std::uint32_t c : rows) {
                         std::fill_n(chunkSums.begin() + c * sumsStride + d0,
                                     d1 - d0, 0.0);
                     }
@@ -438,7 +527,7 @@ kMeans(const Matrix &points, const KMeansConfig &cfg)
                         for (std::size_t d = d0; d < d1; ++d)
                             s[d] += x[d];
                     }
-                    for (std::size_t c = 0; c < k; ++c) {
+                    for (std::uint32_t c : rows) {
                         const double *from = chunkSums.data() + c * sumsStride;
                         double *to = sums.data() + c * sumsStride;
                         for (std::size_t d = d0; d < d1; ++d)
@@ -447,9 +536,6 @@ kMeans(const Matrix &points, const KMeansConfig &cfg)
                 }
             },
             cfg.parallel);
-        std::fill(counts.begin(), counts.end(), 0u);
-        for (std::uint32_t c : res.assignment)
-            ++counts[c];
 
         // Update.
         for (std::size_t c = 0; c < k; ++c) {

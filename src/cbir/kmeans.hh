@@ -38,6 +38,21 @@ struct KMeansConfig
     parallel::ParallelConfig parallel{};
 };
 
+/**
+ * Distance work kMeans did against the work a full scan would do.
+ * Counts depend on the backend (pruning tests computed floats) but
+ * never on the thread count.
+ */
+struct KMeansWork
+{
+    /** Seeding (point, seed) l2sq computed, of (k - 1) * n offered. */
+    std::uint64_t seedL2sq = 0;
+    std::uint64_t seedL2sqOffered = 0;
+    /** Lloyd (point, centroid) scores computed, of iterations * n * k. */
+    std::uint64_t lloydScores = 0;
+    std::uint64_t lloydScoresOffered = 0;
+};
+
 struct KMeansResult
 {
     Matrix centroids;
@@ -46,6 +61,7 @@ struct KMeansResult
     /** Sum of squared distances to assigned centroids. */
     double inertia = 0;
     std::size_t iterations = 0;
+    KMeansWork work;
 };
 
 /**

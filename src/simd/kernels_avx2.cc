@@ -181,6 +181,54 @@ dotIdxAvx2(const float *q, const float *base, const std::uint32_t *ids,
 }
 
 /**
+ * Indexed-row l2sq: four interleaved chains, each exactly the
+ * l2sqAvx2 sequence for (row, q).
+ */
+REACH_AVX2 void
+l2sqIdxAvx2(const float *q, const float *base, const std::uint32_t *ids,
+            std::size_t n, std::size_t d, float *out)
+{
+    std::size_t r = 0;
+    for (; r + 4 <= n; r += 4) {
+        const float *r0 = base + std::size_t(ids[r]) * d;
+        const float *r1 = base + std::size_t(ids[r + 1]) * d;
+        const float *r2 = base + std::size_t(ids[r + 2]) * d;
+        const float *r3 = base + std::size_t(ids[r + 3]) * d;
+        __m256 a0 = _mm256_setzero_ps(), a1 = _mm256_setzero_ps();
+        __m256 a2 = _mm256_setzero_ps(), a3 = _mm256_setzero_ps();
+        std::size_t t = 0;
+        for (; t + 8 <= d; t += 8) {
+            __m256 vq = _mm256_loadu_ps(q + t);
+            __m256 d0 = _mm256_sub_ps(_mm256_loadu_ps(r0 + t), vq);
+            __m256 d1 = _mm256_sub_ps(_mm256_loadu_ps(r1 + t), vq);
+            __m256 d2 = _mm256_sub_ps(_mm256_loadu_ps(r2 + t), vq);
+            __m256 d3 = _mm256_sub_ps(_mm256_loadu_ps(r3 + t), vq);
+            a0 = _mm256_fmadd_ps(d0, d0, a0);
+            a1 = _mm256_fmadd_ps(d1, d1, a1);
+            a2 = _mm256_fmadd_ps(d2, d2, a2);
+            a3 = _mm256_fmadd_ps(d3, d3, a3);
+        }
+        float s0 = hsum256(a0), s1 = hsum256(a1);
+        float s2 = hsum256(a2), s3 = hsum256(a3);
+        for (; t < d; ++t) {
+            float qv = q[t];
+            float e0 = r0[t] - qv, e1 = r1[t] - qv;
+            float e2 = r2[t] - qv, e3 = r3[t] - qv;
+            s0 = std::fma(e0, e0, s0);
+            s1 = std::fma(e1, e1, s1);
+            s2 = std::fma(e2, e2, s2);
+            s3 = std::fma(e3, e3, s3);
+        }
+        out[r] = s0;
+        out[r + 1] = s1;
+        out[r + 2] = s2;
+        out[r + 3] = s3;
+    }
+    for (; r < n; ++r)
+        out[r] = l2sqAvx2(base + std::size_t(ids[r]) * d, q, d);
+}
+
+/**
  * ADC: expand 8 u8 codes to i32 lanes, add the per-lane LUT row
  * offsets (lane j reads subspace s+j, i.e. base lut + s*stride plus
  * j*stride + code), gather, accumulate with plain adds. Lane j sums
@@ -509,7 +557,8 @@ avx2Kernels()
 {
     static const Kernels k{dotAvx2,          l2sqAvx2,
                            normSqAvx2,       dotBatchAvx2,
-                           dotIdxAvx2,       gemmNtAvx2,
+                           dotIdxAvx2,       l2sqIdxAvx2,
+                           gemmNtAvx2,
                            adcBatchAvx2,     adcBatch4Avx2,
                            shortlistScoreAvx2,
                            shortlistScoreF16Avx2, maxGroupMinAvx2};

@@ -61,6 +61,14 @@ dotIdxScalar(const float *q, const float *base, const std::uint32_t *ids,
         out[r] = dotScalar(q, base + std::size_t(ids[r]) * d, d);
 }
 
+void
+l2sqIdxScalar(const float *q, const float *base, const std::uint32_t *ids,
+              std::size_t n, std::size_t d, float *out)
+{
+    for (std::size_t r = 0; r < n; ++r)
+        out[r] = l2sqScalar(base + std::size_t(ids[r]) * d, q, d);
+}
+
 /**
  * The ADC sum mirrors the avx2 layout exactly: eight virtual lanes
  * accumulate subspaces s, s+8, s+16, ... independently, the lanes
@@ -272,7 +280,8 @@ scalarKernels()
 {
     static const Kernels k{dotScalar,          l2sqScalar,
                            normSqScalar,       dotBatchScalar,
-                           dotIdxScalar,       gemmNtScalar,
+                           dotIdxScalar,       l2sqIdxScalar,
+                           gemmNtScalar,
                            adcBatchScalar,     adcBatch4Scalar,
                            shortlistScoreScalar,
                            shortlistScoreF16Scalar, maxGroupMinScalar};

@@ -29,6 +29,11 @@
  *   normSq(a, d)              == dot(a, a, d)
  *   dotBatch(q, rows, ...)[r] == dot(q, rows + r*d, d)
  *   dotIdx(q, base, ids,..)[r]== dot(q, base + ids[r]*d, d)
+ *   l2sqIdx(q, base, ids,..)[r]
+ *                             == l2sq(base + ids[r]*d, q, d)
+ *                             == l2sq(q, base + ids[r]*d, d)
+ *     (both orders: fl(a - b) = -fl(b - a), and only its square
+ *     enters the sum)
  *   adcBatch(lut, st, codes, n, m)[r]
  *                             == adcBatch(lut, st, codes + r*m, 1, m)
  *
@@ -167,6 +172,13 @@ struct Kernels
     void (*dotIdx)(const float *q, const float *base,
                    const std::uint32_t *ids, std::size_t n,
                    std::size_t d, float *out);
+    /**
+     * Indexed rows: out[r] = l2sq(base + ids[r]*d, q) for r in
+     * [0, n), with the per-row arithmetic of l2sq.
+     */
+    void (*l2sqIdx)(const float *q, const float *base,
+                    const std::uint32_t *ids, std::size_t n,
+                    std::size_t d, float *out);
     /**
      * Register-blocked C = A * B^T micro-kernel over one row block:
      * A is (n x d), B is (m x d), C rows are written at stride

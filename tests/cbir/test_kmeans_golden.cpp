@@ -7,7 +7,9 @@
  * point per seed). Any pruning of that work must be exact: the same
  * hash on each pinned backend, at 1 and 4 threads, in every build type
  * (the avx2 kernels' d % 8 tails use explicit fma, so an optimizing
- * compiler cannot change their bits).
+ * compiler cannot change their bits). Each case also pins the distance
+ * work (KMeansResult::work): how many seeding l2sq and Lloyd scores
+ * were computed, of how many offered.
  *
  * The cases cover the shapes where a pruning bound is most likely to
  * be wrong: the perfbench query-exact and openloop-onchip index
@@ -104,31 +106,49 @@ uniformCube()
     return m;
 }
 
+/** What one backend must return: the hash and the distance work. */
+struct Expected
+{
+    std::uint64_t hash;
+    std::uint64_t seedL2sq;
+    std::uint64_t lloydScores;
+};
+
 struct GoldenCase
 {
     const char *name;
     Matrix (*points)();
     std::size_t clusters;
     std::size_t maxIterations;
-    std::uint64_t scalarHash;
-    std::uint64_t avx2Hash;
+    Expected scalar;
+    Expected avx2;
 };
 
+// The work counts were recorded from the implementation that ran
+// each point's bound test and distance one point at a time; batching
+// the same tests must not change them.
 const GoldenCase kCases[] = {
     {"QueryExactFixture", [] { return gaussianMixture(60'000, 96, 64); },
-     192, 6, 0xd3d6a7a423568ed4ull, 0xfde4f66dd5e061d4ull},
+     192, 6, {0xd3d6a7a423568ed4ull, 2'067'594, 1'077'776},
+     {0xfde4f66dd5e061d4ull, 2'067'594, 1'077'776}},
     {"Clusters1024", [] { return gaussianMixture(20'000, 96, 64); }, 1024,
-     6, 0x0d7ad9db6ce95760ull, 0x704bdde106e6ff2cull},
+     6, {0x0d7ad9db6ce95760ull, 947'857, 1'909'449},
+     {0x704bdde106e6ff2cull, 947'857, 1'909'449}},
     {"TableHoldsAll", [] { return gaussianMixture(5'000, 16, 40); }, 33,
-     10, 0x36a4436340247097ull, 0xd91af87b14ddbcb2ull},
+     10, {0x36a4436340247097ull, 98'696, 110'983},
+     {0xd91af87b14ddbcb2ull, 98'696, 110'983}},
     {"PqSubspace", [] { return gaussianMixture(6'000, 2, 64); }, 256, 8,
-     0x73a2629c5e5d35d7ull, 0x5b13e3326692c05dull},
-    {"DuplicateTies", duplicatedLattice, 40, 10, 0x5c0567d063cd0605ull,
-     0xd74e54f0b0627eeeull},
-    {"Offset1e4", offsetMixture, 64, 6, 0xf543d4f216670aa4ull,
-     0xa05c638329686871ull},
-    {"UniformFallback", uniformCube, 300, 6, 0x53d242371a1086e7ull,
-     0x86f80f4af9a9f413ull},
+     {0x73a2629c5e5d35d7ull, 70'077, 97'653},
+     {0x5b13e3326692c05dull, 70'077, 97'651}},
+    {"DuplicateTies", duplicatedLattice, 40, 10,
+     {0x5c0567d063cd0605ull, 37'013, 35'650},
+     {0xd74e54f0b0627eeeull, 37'013, 35'650}},
+    {"Offset1e4", offsetMixture, 64, 6,
+     {0xf543d4f216670aa4ull, 139'029, 3'120'000},
+     {0xa05c638329686871ull, 139'029, 3'120'000}},
+    {"UniformFallback", uniformCube, 300, 6,
+     {0x53d242371a1086e7ull, 725'207, 5'133'429},
+     {0x86f80f4af9a9f413ull, 725'207, 5'133'427}},
 };
 
 void
@@ -148,8 +168,8 @@ TEST_P(KMeansGolden, BitIdenticalAtOneAndFourThreads)
     if (!simd::supported(backend))
         GTEST_SKIP() << simd::name(backend) << " not supported here";
     const Matrix points = gc.points();
-    const std::uint64_t want =
-        backend == simd::Backend::avx2 ? gc.avx2Hash : gc.scalarHash;
+    const Expected &want =
+        backend == simd::Backend::avx2 ? gc.avx2 : gc.scalar;
     const simd::Choice choice = backend == simd::Backend::avx2
                                     ? simd::Choice::avx2
                                     : simd::Choice::scalar;
@@ -158,10 +178,19 @@ TEST_P(KMeansGolden, BitIdenticalAtOneAndFourThreads)
         kc.clusters = gc.clusters;
         kc.maxIterations = gc.maxIterations;
         kc.parallel = parallel::ParallelConfig{threads, choice};
-        const std::uint64_t got = hashResult(kMeans(points, kc));
-        EXPECT_EQ(got, want) << gc.name << " on " << simd::name(backend)
-                             << " at " << threads << " threads: 0x"
-                             << std::hex << got;
+        const KMeansResult res = kMeans(points, kc);
+        const std::uint64_t got = hashResult(res);
+        const std::string where = std::string(gc.name) + " on " +
+                                  simd::name(backend) + " at " +
+                                  std::to_string(threads) + " threads";
+        EXPECT_EQ(got, want.hash) << where << ": 0x" << std::hex << got;
+        const std::uint64_t n = points.rows();
+        EXPECT_EQ(res.work.seedL2sq, want.seedL2sq) << where;
+        EXPECT_EQ(res.work.seedL2sqOffered, (gc.clusters - 1) * n) << where;
+        EXPECT_EQ(res.work.lloydScores, want.lloydScores) << where;
+        EXPECT_EQ(res.work.lloydScoresOffered,
+                  res.iterations * n * gc.clusters)
+            << where;
     }
 }
 

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -162,6 +163,40 @@ TEST_P(SimdBackend, CrossKernelInvariantsBitwise)
             EXPECT_EQ(idx_dots[r],
                       k().dot(q.data(), rows.data() + ids[r] * d, d))
                 << "dotIdx row " << r << " d=" << d;
+        }
+    }
+}
+
+/**
+ * l2sqIdx row r is the lone l2sq of its row against q, bit for bit,
+ * with the row as either argument; ids arrive shuffled and repeated,
+ * and n covers empty, short, whole and ragged four-row groups.
+ */
+TEST_P(SimdBackend, L2sqIdxMatchesLoneL2sqBitwise)
+{
+    constexpr std::size_t kRows = 37;
+    for (std::size_t d : {1, 2, 7, 8, 9, 96, 100}) {
+        const auto q = randomVec(d, 300 + d);
+        const auto base = randomVec(kRows * d, 400 + d);
+        for (std::size_t n : {0, 1, 3, 4, 5, 1000}) {
+            sim::Rng rng(500 + n * 131 + d);
+            std::vector<std::uint32_t> ids(n);
+            for (auto &id : ids)
+                id = static_cast<std::uint32_t>(rng.nextUInt(kRows));
+            std::vector<float> out(n + 1, -1.0f);
+            k().l2sqIdx(q.data(), base.data(), ids.data(), n, d,
+                        out.data());
+            for (std::size_t r = 0; r < n; ++r) {
+                const float *row = base.data() + ids[r] * d;
+                const auto got = std::bit_cast<std::uint32_t>(out[r]);
+                EXPECT_EQ(got, std::bit_cast<std::uint32_t>(
+                                   k().l2sq(row, q.data(), d)))
+                    << "row " << r << " d=" << d << " n=" << n;
+                EXPECT_EQ(got, std::bit_cast<std::uint32_t>(
+                                   k().l2sq(q.data(), row, d)))
+                    << "row " << r << " d=" << d << " n=" << n;
+            }
+            EXPECT_EQ(out[n], -1.0f) << "wrote past n=" << n;
         }
     }
 }
